@@ -28,6 +28,7 @@ import os
 import time
 from pathlib import Path
 
+from repro import RunContext
 from repro.core import run_noise_tolerant_flow
 from repro.obs import NullTelemetry
 from repro.soc import build_turbo_eagle
@@ -59,9 +60,6 @@ class CountingTelemetry(NullTelemetry):
     def observe(self, name, value, **labels):
         self.calls += 1
 
-    def absorb_worker_events(self, events):
-        self.calls += 1
-
 
 def _null_call_cost_s(iterations: int = 200_000) -> float:
     """Per-call cost of the slowest null facade operation."""
@@ -90,7 +88,9 @@ def test_disabled_telemetry_overhead_under_budget():
     assert baseline is not None
 
     counter = CountingTelemetry()
-    counted, _ = run_noise_tolerant_flow(design, seed=1, telemetry=counter)
+    counted, _ = run_noise_tolerant_flow(
+        design, seed=1, context=RunContext(telemetry=counter)
+    )
 
     # Telemetry only observes: the flow's output must not change.
     assert counted is not None

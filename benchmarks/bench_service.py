@@ -25,6 +25,10 @@ may not dominate the durability machinery it fronts.  (Worker-fleet
 latency includes Python interpreter spawns per worker and is reported,
 not gated.)
 
+Worker-fleet numbers depend on how many cores the fleet can use, so
+the payload carries a ``host`` block (usable/total CPUs, Python/numpy/
+scipy versions, git revision).
+
 Emits machine-readable ``BENCH_service.json`` at the repo root.
 """
 
@@ -44,6 +48,8 @@ from repro.service import (
     ServiceConfig,
     ServiceSupervisor,
 )
+
+from hostinfo import host_block
 
 _OUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_service.json"
 
@@ -158,6 +164,7 @@ def test_service_overhead_bounded(tmp_path):
     inline_overhead = inline_s / max(1e-9, inproc_s)
     http_overhead = http_s / max(1e-9, inline_s)
     payload = {
+        "host": host_block(),
         "design": "turbo_eagle_tiny",
         "shards_per_job": 3,
         "latency_s": {

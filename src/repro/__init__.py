@@ -29,13 +29,7 @@ from .core import (
     run_noise_tolerant_flow,
     validate_pattern_set,
 )
-from .perf import (
-    PatternProfileCache,
-    RetryPolicy,
-    execution_policy,
-    pool_map,
-    resilient_map,
-)
+from .perf import PatternProfileCache
 from .power import PatternPowerProfile, ScapCalculator
 from .reporting import CheckpointStore, RunReport
 from .timing import (
@@ -68,7 +62,6 @@ __all__ = [
     "NoiseAwarePatternGenerator",
     "PatternPowerProfile",
     "PatternProfileCache",
-    "RetryPolicy",
     "RunReport",
     "ScapCalculator",
     "ServiceClient",
@@ -83,14 +76,11 @@ __all__ = [
     "check_design",
     "current_run_context",
     "derive_scap_thresholds",
-    "execution_policy",
     "DroopBoundAnalyzer",
     "DroopBoundReport",
     "ir_scaled_endpoint_comparison",
     "prescreen_pattern_set",
     "prescreened_endpoint_comparison",
-    "pool_map",
-    "resilient_map",
     "run_drc",
     "run_noise_tolerant_flow",
     "use_run_context",

@@ -21,7 +21,7 @@ This reproduces the industrial behaviours the paper leans on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,7 +101,6 @@ class AtpgEngine:
         seed: int = 1,
         timing_aware: bool = False,
         delays=None,
-        n_workers: Union[int, str, None] = 1,
         context: Optional[RunContext] = None,
     ):
         """``max_targets_per_block`` is the option the paper wished its
@@ -118,15 +117,9 @@ class AtpgEngine:
         ATPG activates "easy-to-find paths rather than longer paths
         through the target fault sites".
 
-        ``n_workers`` fans the per-batch fault simulation out across a
-        process pool (chunked fault partitions; results bit-identical
-        to serial); ``"auto"`` lets :mod:`repro.perf.dispatch` pick
-        batch or pool from the work size and usable cores.
-
         ``context`` (a :class:`~repro.context.RunContext`) is scoped
         over every :meth:`run` call, so one session object configures
-        telemetry, execution/dispatch policy and the kernel cache for
-        this engine; the default inherits the ambient configuration."""
+        telemetry and the kernel cache for this engine; the default inherits the ambient configuration."""
         if protocol == "los" and scan is None:
             raise AtpgError("LOS ATPG needs the scan configuration")
         self.netlist = netlist
@@ -139,7 +132,6 @@ class AtpgEngine:
         self.max_merge_per_pattern = max_merge_per_pattern
         self.max_targets_per_block = max_targets_per_block
         self.batch_size = batch_size
-        self.n_workers = n_workers
         self.context = context if context is not None else RunContext()
         self.rng = np.random.default_rng(seed)
         self.state = TwoFrameState(netlist, domain, protocol=protocol,
@@ -317,7 +309,6 @@ class AtpgEngine:
             live = [f for f in pending if f in pending_set]
             words = self.fsim.run_batch(
                 matrix, live, protocol=self.protocol, scan=self.scan,
-                n_workers=self.n_workers,
             )
             base = len(pattern_set)
             for fault, word in words.items():

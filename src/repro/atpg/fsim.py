@@ -18,21 +18,15 @@ Three throughput layers sit on top of the plain cone walk:
   compiled-code simulation: no dicts, no per-gate calls) that returns
   the capture-net difference word directly;
 * :meth:`run_batch` — arbitrary pattern counts split into fixed-width
-  *lanes* (cheap machine-word bigint ops instead of one enormous word),
-  optional fault dropping between lanes, and optional fault-partitioned
-  fan-out across a process pool (each worker rebuilds the simulator
-  once — warm-loading compiled kernels from the persistent
-  :mod:`repro.perf.kernel_cache` the parent populated — good-simulates
-  every lane once, then grades its fault chunks against the memoized
-  frames; matrices ride a zero-copy :mod:`repro.perf.shm` segment when
-  big enough, and ``n_workers="auto"`` defers the batch/pool call to
-  :mod:`repro.perf.dispatch`).
+  *lanes* (cheap machine-word bigint ops instead of one enormous word)
+  and optional fault dropping between lanes; compiled kernels persist
+  across runs in :mod:`repro.perf.kernel_cache`.
 """
 
 from __future__ import annotations
 
 import types
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,14 +34,11 @@ from ..errors import AtpgError
 from ..netlist.levelize import levelize
 from ..netlist.netlist import Netlist
 from ..obs import current_telemetry
-from ..perf.dispatch import current_dispatch, decide_fsim, wants_auto
 from ..perf.kernel_cache import (
     KernelCache,
     current_kernel_cache,
     netlist_fingerprint,
 )
-from ..perf.pool import chunked, pool_map, resolve_workers
-from ..perf.shm import shared_matrix, shm_available, resolve_matrix
 from ..sim.logic import (
     LogicSim,
     launch_capture_with_state,
@@ -114,8 +105,7 @@ class FaultSimulator:
     ``kernel_cache`` controls the persistent compiled-kernel cache
     (:mod:`repro.perf.kernel_cache`): by default the ambient cache is
     used, so cone kernels compiled once for a netlist are warm-loaded
-    from disk by every later simulator — including pool workers — for
-    that netlist.  Pass ``None`` to disable caching for this instance.
+    from disk by every later simulator for that netlist.  Pass ``None`` to disable caching for this instance.
     """
 
     def __init__(
@@ -207,9 +197,9 @@ class FaultSimulator:
     def warm_kernels(self, faults: Sequence[TransitionFault]) -> int:
         """Ensure every fault site's kernel is compiled, then persist.
 
-        Returns the number of sites compiled fresh (0 = fully warm).
-        Called before fanning out to a pool so workers always find a
-        warm disk cache instead of each paying the compile tax.
+        Returns the number of sites compiled fresh (0 = fully warm), so
+        a later simulator for the same netlist finds a warm disk cache
+        instead of paying the compile tax.
         """
         before = len(self._dirty_sites)
         for fault in faults:
@@ -408,9 +398,6 @@ class FaultSimulator:
         v2_matrix: Optional[np.ndarray] = None,
         lane_width: int = DEFAULT_LANE_WIDTH,
         drop: bool = False,
-        n_workers: Union[int, str, None] = 1,
-        transport: Optional[str] = None,
-        exec_policy=None,
     ) -> Dict[TransitionFault, int]:
         """Fault-simulate an arbitrarily large batch in fixed-width lanes.
 
@@ -432,104 +419,26 @@ class FaultSimulator:
             The set of detected faults and each fault's first-detection
             index are unchanged; use it when only those matter
             (coverage grading), not when counting detections per fault.
-        n_workers:
-            Fan the fault list out across a process pool in chunked
-            partitions (each worker rebuilds the simulator once from
-            the warm kernel cache, good-simulates every lane once, then
-            grades its fault chunks against the settled frames).
-            ``<= 1`` stays serial in-process; ``"auto"`` lets
-            :func:`repro.perf.dispatch.decide_fsim` pick batch or pool
-            from the work size and usable cores.
-        transport:
-            How pool workers receive the pattern matrices: ``"inherit"``
-            ships them through pickled initargs, ``"shm"`` through one
-            packed :mod:`repro.perf.shm` segment per matrix (zero-copy).
-            ``None`` (default) decides from matrix size via the ambient
-            :class:`~repro.perf.dispatch.DispatchPolicy`.
-        exec_policy:
-            Optional :class:`~repro.perf.resilient.RetryPolicy` for
-            the pooled path (per-chunk timeouts, retries, crash
-            recovery).  ``None`` uses the ambient default — see
-            :func:`repro.perf.resilient.execution_policy`.
         """
         v1_matrix = np.asarray(v1_matrix)
         if v1_matrix.ndim != 2:
             raise AtpgError("v1_matrix must be (n_patterns, n_flops)")
         if lane_width <= 0:
             raise AtpgError("lane_width must be positive")
-        if transport not in (None, "inherit", "shm"):
-            raise AtpgError("transport must be None, 'inherit' or 'shm'")
         n_pat = v1_matrix.shape[0]
         faults = list(faults)
         if n_pat == 0 or not faults:
             return {}
 
         tel = current_telemetry()
-        if wants_auto(n_workers):
-            decision = decide_fsim(
-                n_pat, len(faults), matrix_bytes=int(v1_matrix.nbytes)
-            )
-            eff = decision.n_workers if decision.mode == "pool" else 1
-            use_shm = (
-                decision.use_shm if transport is None else transport == "shm"
-            )
-        else:
-            eff = resolve_workers(n_workers, len(faults))
-            if transport is None:
-                use_shm = (
-                    int(v1_matrix.nbytes) // 8
-                    >= current_dispatch().shm_min_bytes
-                )
-            else:
-                use_shm = transport == "shm"
-        use_shm = use_shm and eff > 1 and shm_available()
         with tel.span(
             "fsim.run_batch",
             domain=self.domain,
             n_patterns=n_pat,
             n_faults=len(faults),
-            workers=eff,
             drop=drop,
-            shm=use_shm,
         ):
             tel.count("fsim.faults_graded", len(faults))
-            if eff > 1:
-                # Pay the compile tax once, here, and persist: workers
-                # warm-load marshalled kernels from disk instead of each
-                # re-running codegen + compile() over the whole design.
-                if self._kcache is not None:
-                    self.warm_kernels(faults)
-                # Chunked fault partitions; a few chunks per worker
-                # keeps the load balanced when cone sizes are skewed.
-                chunks = chunked(faults, eff * 4)
-                with shared_matrix(
-                    v1_matrix if use_shm else None
-                ) as h1, shared_matrix(
-                    v2_matrix if use_shm else None
-                ) as h2:
-                    results = pool_map(
-                        _fsim_worker_task,
-                        chunks,
-                        n_workers=eff,
-                        policy=exec_policy,
-                        initializer=_fsim_worker_init,
-                        initargs=(
-                            self.netlist,
-                            self.domain,
-                            h1 if h1 is not None else v1_matrix,
-                            protocol,
-                            scan,
-                            h2 if h2 is not None else v2_matrix,
-                            lane_width,
-                            drop,
-                        ),
-                    )
-                merged: Dict[TransitionFault, int] = {}
-                for part in results:
-                    merged.update(part)
-                tel.count("fsim.faults_detected", len(merged))
-                return merged
-
             detections: Dict[TransitionFault, int] = {}
             live = faults
             for start in range(0, n_pat, lane_width):
@@ -560,63 +469,6 @@ class FaultSimulator:
                 tel.count("fsim.faults_dropped", len(faults) - len(live))
             self.save_kernels()
             return detections
-
-
-#: Per-worker simulator context installed by :func:`_fsim_worker_init`.
-_FSIM_WORKER_STATE: Optional[Tuple] = None
-
-
-def _fsim_worker_init(
-    netlist: Netlist,
-    domain: str,
-    v1_source,
-    protocol: str,
-    scan,
-    v2_source,
-    lane_width: int,
-    drop: bool,
-) -> None:
-    """Build the per-worker grading context, once per worker process.
-
-    The matrices arrive either inline or as :mod:`repro.perf.shm`
-    handles (resolved here); the simulator warm-loads its kernels from
-    the persistent cache the parent just populated; and the good
-    machine is simulated over every lane *once* — fault chunks then
-    grade against the memoized settled frames instead of re-running the
-    good machine per chunk.
-    """
-    global _FSIM_WORKER_STATE
-    v1 = resolve_matrix(v1_source)
-    v2 = resolve_matrix(v2_source)
-    sim = FaultSimulator(netlist, domain)
-    frames: List[Tuple[int, List[int], List[int], int]] = []
-    for start in range(0, v1.shape[0], lane_width):
-        lane = v1[start:start + lane_width]
-        v2_lane = v2[start:start + lane_width] if v2 is not None else None
-        f1, g2, mask = sim._lane_frames(lane, protocol, scan, v2_lane)
-        frames.append((start, f1, g2, mask))
-    _FSIM_WORKER_STATE = (sim, frames, drop)
-
-
-def _fsim_worker_task(
-    fault_chunk: Sequence[TransitionFault],
-) -> Dict[TransitionFault, int]:
-    """Grade one fault partition against every lane (runs in a worker)."""
-    sim, frames, drop = _FSIM_WORKER_STATE
-    detections: Dict[TransitionFault, int] = {}
-    live = list(fault_chunk)
-    for start, f1, g2, mask in frames:
-        if not live:
-            break
-        words = sim._grade_lane(f1, g2, mask, live)
-        for fault, word in words.items():
-            prev = detections.get(fault)
-            detections[fault] = (
-                word << start if prev is None else prev | (word << start)
-            )
-        if drop and words:
-            live = [f for f in live if f not in detections]
-    return detections
 
 
 def _packed_shift(packed: Dict[int, int], scan) -> Dict[int, int]:

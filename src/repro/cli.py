@@ -62,21 +62,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         choices=list(LOG_LEVELS),
                         help="stdlib logging level for the repro tree "
                              "(default: warning)")
-    parser.add_argument("--workers", default="1", metavar="N|auto",
-                        help="worker processes for grading pools: a "
-                             "count, or 'auto' to size from the work "
-                             "and usable cores (default: 1)")
-
-
-def _workers(args):
-    raw = getattr(args, "workers", "1")
-    return raw if raw == "auto" else int(raw)
 
 
 def _study(args) -> CaseStudy:
     return CaseStudy(
         scale=args.scale, seed=args.seed,
-        n_workers=_workers(args),
         checkpoint_dir=getattr(args, "checkpoint", None),
     )
 

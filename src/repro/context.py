@@ -1,26 +1,21 @@
 """One session object for the run-wide configuration knobs.
 
-Four ambient scopes accumulated across the perf and obs subsystems —
-:func:`repro.obs.use_telemetry`,
-:func:`repro.perf.resilient.execution_policy`,
-:func:`repro.perf.dispatch.dispatch_policy` and
-:func:`repro.perf.kernel_cache.use_kernel_cache` — and every new entry
-point had to thread all four through by hand.  :class:`RunContext`
-composes them into one immutable session object, and
+Two ambient scopes configure a run —
+:func:`repro.obs.use_telemetry` and
+:func:`repro.perf.kernel_cache.use_kernel_cache`.  :class:`RunContext`
+bundles them into one immutable session object, and
 :func:`use_run_context` scopes them together::
 
     ctx = RunContext(
         telemetry=Telemetry(tracing=True),
-        execution=RetryPolicy(max_retries=1),
-        dispatch=DispatchPolicy(mode="pool"),
         kernel_cache=KernelCache(tmp_dir),
     )
     with use_run_context(ctx):
-        run_noise_tolerant_flow(design)        # all four apply
+        run_noise_tolerant_flow(design)        # both apply
     run_noise_tolerant_flow(design, context=ctx)  # same thing
 
 Every field defaults to "inherit the ambient value", so partial
-contexts compose: ``RunContext(dispatch=...)`` inside a
+contexts compose: ``RunContext(kernel_cache=...)`` inside a
 ``use_telemetry(...)`` block keeps the outer telemetry.  For the
 kernel cache — whose ambient value is itself optional — the sentinel
 :data:`INHERIT_CACHE` distinguishes "inherit" from ``None`` ("disable
@@ -33,18 +28,16 @@ what :func:`use_run_context` does.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Union
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
+from typing import ContextManager, Iterator, Optional, Union
 
 from .obs import AnyTelemetry, current_telemetry, use_telemetry
-from .perf.dispatch import DispatchPolicy, current_dispatch, dispatch_policy
 from .perf.kernel_cache import (
     KernelCache,
     current_kernel_cache,
     use_kernel_cache,
 )
-from .perf.resilient import RetryPolicy, default_policy, execution_policy
 
 
 class _InheritCache:
@@ -70,59 +63,8 @@ class RunContext:
     #: Telemetry facade scoped over the run (``None`` = inherit the
     #: ambient facade; pass ``repro.obs.NULL_TELEMETRY`` to force off).
     telemetry: Optional[AnyTelemetry] = None
-    #: Retry/timeout/crash-isolation policy for resilient execution.
-    execution: Optional[RetryPolicy] = None
-    #: Serial/batch/pool dispatch policy for ``n_workers="auto"``.
-    dispatch: Optional[DispatchPolicy] = None
     #: Compiled-kernel cache (``None`` disables caching in the scope).
     kernel_cache: Union[KernelCache, None, _InheritCache] = INHERIT_CACHE
-
-    def with_telemetry(
-        self, telemetry: Optional[AnyTelemetry]
-    ) -> "RunContext":
-        """A copy with *telemetry* (the deprecation-shim helper)."""
-        return replace(self, telemetry=telemetry)
-
-    def overriding(self, other: "RunContext") -> "RunContext":
-        """Compose two contexts: *other*'s explicit fields win.
-
-        Fields *other* leaves as "inherit" keep this context's value,
-        so a caller can layer a partial override (say, the service
-        store's retry policy) over a snapshot of the ambient session
-        without losing the rest::
-
-            ctx = current_run_context().overriding(
-                RunContext(execution=store_policy)
-            )
-        """
-        return RunContext(
-            telemetry=(
-                other.telemetry
-                if other.telemetry is not None else self.telemetry
-            ),
-            execution=(
-                other.execution
-                if other.execution is not None else self.execution
-            ),
-            dispatch=(
-                other.dispatch
-                if other.dispatch is not None else self.dispatch
-            ),
-            kernel_cache=(
-                self.kernel_cache
-                if isinstance(other.kernel_cache, _InheritCache)
-                else other.kernel_cache
-            ),
-        )
-
-    def is_default(self) -> bool:
-        """True when every field inherits the ambient value."""
-        return (
-            self.telemetry is None
-            and self.execution is None
-            and self.dispatch is None
-            and isinstance(self.kernel_cache, _InheritCache)
-        )
 
 
 def current_run_context() -> RunContext:
@@ -133,8 +75,6 @@ def current_run_context() -> RunContext:
     """
     return RunContext(
         telemetry=current_telemetry(),
-        execution=default_policy(),
-        dispatch=current_dispatch(),
         kernel_cache=current_kernel_cache(),
     )
 
@@ -149,13 +89,15 @@ def use_run_context(
     ``None`` (or an all-default context) scopes nothing and is free.
     """
     ctx = context if context is not None else RunContext()
-    with ExitStack() as stack:
-        if ctx.telemetry is not None:
-            stack.enter_context(use_telemetry(ctx.telemetry))
-        if ctx.execution is not None:
-            stack.enter_context(execution_policy(ctx.execution))
-        if ctx.dispatch is not None:
-            stack.enter_context(dispatch_policy(ctx.dispatch))
-        if not isinstance(ctx.kernel_cache, _InheritCache):
-            stack.enter_context(use_kernel_cache(ctx.kernel_cache))
+    telemetry_scope: ContextManager[object] = (
+        nullcontext()
+        if ctx.telemetry is None
+        else use_telemetry(ctx.telemetry)
+    )
+    cache_scope: ContextManager[object] = (
+        nullcontext()
+        if isinstance(ctx.kernel_cache, _InheritCache)
+        else use_kernel_cache(ctx.kernel_cache)
+    )
+    with telemetry_scope, cache_scope:
         yield ctx

@@ -8,8 +8,7 @@ number in EXPERIMENTS.md has a single authoritative source.
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from ..atpg.faults import build_fault_universe
 from ..config import ElectricalEnv
 from ..context import RunContext, use_run_context
 from ..errors import ConfigError
-from ..obs import AnyTelemetry, current_telemetry
+from ..obs import current_telemetry
 from ..pgrid.dynamic_ir import DynamicIrResult, dynamic_ir_for_pattern
 from ..pgrid.grid import GridModel
 from ..perf.cache import PatternProfileCache
@@ -46,20 +45,11 @@ class CaseStudy:
         atpg_seed: int = 1,
         backtrack_limit: int = 100,
         target_statistical_drop_v: float = 0.15,
-        n_workers: Union[int, str, None] = 1,
         checkpoint_dir: Optional[str] = None,
         drc: bool = True,
-        telemetry: Optional[AnyTelemetry] = None,
         context: Optional[RunContext] = None,
     ):
-        """``n_workers`` fans fault simulation and SCAP grading out
-        across a process pool (see :mod:`repro.perf`); results are
-        bit-identical to the serial default.  ``"auto"`` defers the
-        batch/pool call per grading step to
-        :mod:`repro.perf.dispatch`, which sizes the pool to the cores
-        this process may actually use.
-
-        ``checkpoint_dir`` makes the heavy stages durable: flows,
+        """``checkpoint_dir`` makes the heavy stages durable: flows,
         per-stage ATPG results and SCAP validations persist there (via
         :class:`repro.reporting.CheckpointStore`), so a crashed or
         interrupted reproduction resumes instead of recomputing.  The
@@ -75,18 +65,15 @@ class CaseStudy:
 
         ``context`` (a :class:`~repro.context.RunContext`) is scoped
         over every heavy stage (flows, SCAP validation, scheduling), so
-        one session object configures telemetry, execution policy,
-        dispatch policy and the kernel cache for the whole case study;
-        inherit-valued fields leave the ambient configuration alone.
-        The legacy ``telemetry`` kwarg is deprecated sugar for
-        ``context=RunContext(telemetry=...)``.
+        one session object configures telemetry and the kernel cache
+        for the whole case study; inherit-valued fields leave the
+        ambient configuration alone.
         """
         self.design = build_turbo_eagle(scale, seed)
         self.domain = self.design.dominant_domain()
         self.engine = engine
         self.atpg_seed = atpg_seed
         self.backtrack_limit = backtrack_limit
-        self.n_workers = n_workers
         self.grid_nx = grid_nx
         self.grid_ny = grid_ny
         self.target_statistical_drop_v = target_statistical_drop_v
@@ -104,15 +91,6 @@ class CaseStudy:
             )
             self._checkpoint = CheckpointStore(checkpoint_dir, fingerprint)
         self.context = context if context is not None else RunContext()
-        if telemetry is not None:
-            warnings.warn(
-                "telemetry= is deprecated; pass "
-                "context=RunContext(telemetry=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if self.context.telemetry is None:
-                self.context = self.context.with_telemetry(telemetry)
         self.telemetry = self.context.telemetry
         self.drc_enabled = drc
         self._drc_gate_report = None
@@ -215,7 +193,6 @@ class CaseStudy:
                     self.domain,
                     seed=self.atpg_seed,
                     backtrack_limit=self.backtrack_limit,
-                    n_workers=self.n_workers,
                 )
                 with self._tel_scope() as tel:
                     with tel.span("flow.run", flow="conventional"):
@@ -245,7 +222,6 @@ class CaseStudy:
                     self.domain,
                     seed=self.atpg_seed,
                     backtrack_limit=self.backtrack_limit,
-                    n_workers=self.n_workers,
                 )
                 # Stage-level checkpoints only for the unbounded flow:
                 # stage keys do not encode a pattern budget, and mixing
@@ -287,7 +263,6 @@ class CaseStudy:
                     report = validate_pattern_set(
                         self.calculator, flow.pattern_set,
                         self.thresholds_mw,
-                        n_workers=self.n_workers,
                         checkpoint=self._checkpoint,
                         checkpoint_key=key,
                     )

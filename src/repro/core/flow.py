@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,8 +30,7 @@ from ..atpg.fsim import FaultSimulator, first_detection_index
 from ..atpg.patterns import PatternSet
 from ..context import RunContext, use_run_context
 from ..errors import ConfigError, DrcError, PowerGridError
-from ..obs import AnyTelemetry, current_telemetry, use_telemetry
-from ..perf.resilient import collect_reports
+from ..obs import current_telemetry, use_telemetry
 from ..reporting.checkpoint import CheckpointStore, config_fingerprint
 from ..reporting.runreport import (
     RUN_COMPLETED,
@@ -182,19 +180,16 @@ class ConventionalFlow:
         domain: Optional[str] = None,
         fill: str = "random",
         seed: int = 1,
-        n_workers: Union[int, str, None] = 1,
         **engine_kwargs,
     ):
         self.design = design
         self.domain = domain if domain is not None else design.dominant_domain()
         self.fill = fill
-        self.n_workers = n_workers
         self.engine = AtpgEngine(
             design.netlist,
             self.domain,
             scan=design.scan,
             seed=seed,
-            n_workers=n_workers,
             **engine_kwargs,
         )
 
@@ -223,14 +218,12 @@ class NoiseAwarePatternGenerator:
         seed: int = 1,
         isolate_untargeted: bool = False,
         power_critical_blocks: Sequence[str] = ("B5",),
-        n_workers: Union[int, str, None] = 1,
         grade_lane_width: int = 64,
         **engine_kwargs,
     ):
         self.design = design
         self.domain = domain if domain is not None else design.dominant_domain()
         self.fill = fill
-        self.n_workers = n_workers
         self.grade_lane_width = grade_lane_width
         self.isolate_untargeted = isolate_untargeted
         self.power_critical_blocks = tuple(power_critical_blocks)
@@ -247,7 +240,6 @@ class NoiseAwarePatternGenerator:
             self.domain,
             scan=design.scan,
             seed=seed,
-            n_workers=n_workers,
             **engine_kwargs,
         )
 
@@ -270,8 +262,8 @@ class NoiseAwarePatternGenerator:
         and recomputes nothing, producing a pattern set bit-identical
         to an uninterrupted run.  (The store's fingerprint must cover
         the flow configuration — :func:`run_noise_tolerant_flow` wires
-        that up.)  *run_report* collects per-stage records and the
-        execution layer's failure/retry log; *stop_after_stage* ends
+        that up.)  *run_report* collects per-stage records;
+        *stop_after_stage* ends
         the run after that many leading stages (a deliberate
         interruption, used to exercise resume paths).
         """
@@ -322,14 +314,13 @@ class NoiseAwarePatternGenerator:
             stage_started = time.time()
             try:
                 with tel.span("atpg.stage", stage=name, blocks=list(step)), \
-                        tel.profile_stage(name), \
-                        collect_reports() as exec_reports:
+                        tel.profile_stage(name):
                     outcome = self._run_stage(
                         fsim, step, combined, next_index, max_patterns
                     )
             except Exception as exc:
                 if run_report is not None:
-                    record = run_report.record_stage(
+                    run_report.record_stage(
                         name, "failed",
                         detail={
                             "error": repr(exc),
@@ -342,9 +333,6 @@ class NoiseAwarePatternGenerator:
                         run_report.record_stage(
                             self.stage_name(later), "pending"
                         )
-                    for exec_report in exec_reports:
-                        run_report.absorb_execution_report(name, exec_report)
-                    record.detail["exec_reports"] = len(exec_reports)
                 raise
 
             graded, result, boundary = outcome
@@ -387,8 +375,6 @@ class NoiseAwarePatternGenerator:
                         ),
                     },
                 )
-                for exec_report in exec_reports:
-                    run_report.absorb_execution_report(name, exec_report)
 
         if run_report is not None and stopped:
             run_report.status = RUN_PARTIAL
@@ -431,7 +417,6 @@ class NoiseAwarePatternGenerator:
             graded = _grade_existing(
                 fsim, combined, targets,
                 lane_width=self.grade_lane_width,
-                n_workers=self.n_workers,
             )
             targets = [f for f in targets if f not in graded]
         budget = None
@@ -484,7 +469,6 @@ def run_noise_tolerant_flow(
     report_path: Optional[str] = None,
     drc: bool = True,
     drc_waivers=None,
-    telemetry: Optional[AnyTelemetry] = None,
     context: Optional[RunContext] = None,
     schedule_budget_mw: Optional[float] = None,
     schedule_strategy: str = "binpack",
@@ -518,12 +502,10 @@ def run_noise_tolerant_flow(
     its design rules would waste every downstream stage.
 
     *context* (a :class:`~repro.context.RunContext`) scopes the whole
-    session configuration — telemetry, execution policy, dispatch
-    policy and kernel cache — over the run.  The legacy *telemetry*
-    kwarg is deprecated sugar for ``context=RunContext(telemetry=...)``
-    (a :class:`DeprecationWarning` is emitted); either way ``None``
-    telemetry runs with the null facade: no signals, bit-identical
-    results, and the telemetry snapshot lands in ``report.telemetry``.
+    session configuration — telemetry and kernel cache — over the run.
+    ``None`` telemetry runs with the null facade: no signals,
+    bit-identical results; the telemetry snapshot lands in
+    ``report.telemetry``.
 
     With *schedule_budget_mw* set, a successful generation run is
     followed by a SOC test-scheduling stage: per-block test powers come
@@ -548,16 +530,7 @@ def run_noise_tolerant_flow(
     many patterns the stage screens.
     """
     ctx = context if context is not None else RunContext()
-    if telemetry is not None:
-        warnings.warn(
-            "telemetry= is deprecated; pass "
-            "context=RunContext(telemetry=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if ctx.telemetry is None:
-            ctx = ctx.with_telemetry(telemetry)
-    # The non-telemetry knobs scope ambiently; telemetry keeps the
+    # The kernel cache scopes ambiently; telemetry keeps the
     # historical contract that ``None`` *forces* the null facade (it
     # does not inherit), so it is scoped explicitly.
     with use_run_context(dataclasses.replace(ctx, telemetry=None)), \
@@ -789,13 +762,12 @@ def _grade_existing(
     pattern_set: PatternSet,
     targets: Sequence[TransitionFault],
     lane_width: int = 64,
-    n_workers: Union[int, str, None] = 1,
 ) -> Dict[TransitionFault, int]:
     """Which of *targets* the existing patterns already detect.
 
     One multi-word :meth:`~repro.atpg.fsim.FaultSimulator.run_batch`
     call with between-lane fault dropping (a dropped fault's later
-    lanes are never simulated) and optional fault-partition workers.
+    lanes are never simulated).
     """
     matrix = pattern_set.as_matrix()
     with current_telemetry().span(
@@ -805,7 +777,6 @@ def _grade_existing(
     ):
         words = fsim.run_batch(
             matrix, targets, lane_width=lane_width, drop=True,
-            n_workers=n_workers,
         )
     return {
         fault: first_detection_index(word) for fault, word in words.items()

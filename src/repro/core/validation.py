@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -82,7 +82,6 @@ def validate_pattern_set(
     calculator: ScapCalculator,
     pattern_set,
     thresholds_mw: Dict[str, float],
-    n_workers: Union[int, str, None] = 1,
     checkpoint: Optional[CheckpointStore] = None,
     checkpoint_key: str = "validation",
     checkpoint_chunk: int = 256,
@@ -91,10 +90,8 @@ def validate_pattern_set(
 
     Grading runs through the calculator's batched
     :meth:`~repro.power.calculator.ScapCalculator.profile_patterns`
-    path (machine-word logic-simulation lanes, optional worker pool,
-    profile cache) — bit-exact with per-pattern profiling.
-    ``n_workers="auto"`` defers the batch/pool call to
-    :mod:`repro.perf.dispatch`.
+    path (machine-word logic-simulation lanes, profile cache) —
+    bit-exact with per-pattern profiling.
 
     With a *checkpoint* store the pattern set is graded in chunks of
     *checkpoint_chunk* patterns and every finished chunk persists its
@@ -104,18 +101,14 @@ def validate_pattern_set(
     so stale or foreign checkpoints are never reused.
     """
     tel = current_telemetry()
-    with tel.span(
-        "flow.validate", domain=calculator.domain, workers=n_workers
-    ):
+    with tel.span("flow.validate", domain=calculator.domain):
         if checkpoint is not None:
             profiles = _profile_with_checkpoint(
-                calculator, pattern_set, n_workers,
+                calculator, pattern_set,
                 checkpoint, checkpoint_key, checkpoint_chunk,
             )
         else:
-            profiles = calculator.profile_patterns(
-                pattern_set, n_workers=n_workers
-            )
+            profiles = calculator.profile_patterns(pattern_set)
         violations: List[ScapViolation] = []
         for profile in profiles:
             for block, limit in thresholds_mw.items():
@@ -139,7 +132,6 @@ def validate_pattern_set(
 def _profile_with_checkpoint(
     calculator: ScapCalculator,
     pattern_set,
-    n_workers: Union[int, str, None],
     checkpoint: CheckpointStore,
     key_prefix: str,
     chunk: int,
@@ -168,7 +160,7 @@ def _profile_with_checkpoint(
         if part is not None:
             current_telemetry().count("flow.checkpoint_resumes")
         else:
-            part = calculator.profile_patterns(sub, n_workers=n_workers)
+            part = calculator.profile_patterns(sub)
             checkpoint.save(key, part, meta={"rows": [start, stop]})
         profiles.extend(
             dataclasses.replace(p, pattern_index=indices[start + i])

@@ -3,13 +3,11 @@
 Three coordinated layers behind one run-scoped facade:
 
 * **tracing** (:mod:`~repro.obs.tracer`) — hierarchical spans over flow
-  stages, ATPG runs, fault-sim batches/lanes, SCAP grading, DRC rules
-  and resilient-executor chunks (workers report their chunk spans home
-  on the existing result channel), exported as JSONL and Chrome
-  trace-event JSON;
+  stages, ATPG runs, fault-sim batches/lanes, SCAP grading and DRC
+  rules, exported as JSONL and Chrome trace-event JSON;
 * **metrics** (:mod:`~repro.obs.metrics`) — counters/gauges/histograms
   (patterns generated, faults detected/dropped, SCAP violations per
-  block, retries, worker crashes, cache hits, checkpoint resumes) with
+  block, cache hits, checkpoint resumes, service shard retries) with
   Prometheus text exposition and a JSON snapshot folded into
   ``RunReport.telemetry``;
 * **profiling + logging** (:mod:`~repro.obs.profiler`,
@@ -55,7 +53,7 @@ from .telemetry import (
     current_telemetry,
     use_telemetry,
 )
-from .tracer import Span, TraceEvent, Tracer, events_to_chrome, worker_event
+from .tracer import Span, TraceEvent, Tracer, events_to_chrome
 
 __all__ = [
     "AnyTelemetry",
@@ -83,5 +81,4 @@ __all__ = [
     "setup_logging",
     "summarize",
     "use_telemetry",
-    "worker_event",
 ]

@@ -3,8 +3,7 @@
 Loads span JSONL written by :meth:`~repro.obs.tracer.Tracer.save_jsonl`,
 converts it to Chrome trace-event JSON, aggregates per-span-name
 summaries, and validates well-nestedness (every span's interval inside
-its parent's) — the invariant the chaos tests assert even after worker
-kills mid-batch.
+its parent's).
 """
 
 from __future__ import annotations
@@ -90,8 +89,8 @@ def nesting_errors(
 
     Checks that every span naming a parent (a) references a recorded
     span and (b) fits inside the parent's wall-clock interval, within
-    *tolerance_s* (worker events carry another process's clock reads;
-    same host, so skew is bounded but not zero).
+    *tolerance_s* (merged traces may carry another process's clock
+    reads; same host, so skew is bounded but not zero).
     """
     by_id: Dict[str, TraceEvent] = {
         str(e["span_id"]): e for e in events if e.get("span_id")

@@ -2,18 +2,18 @@
 
 The registry is deliberately small: enough to account for what a
 pattern-generation service must watch (patterns generated, faults
-detected/dropped, SCAP violations per block, executor retries and
-crashes, cache hits, checkpoint resumes) without pulling in a client
-library.  Metric names are dotted (``exec.retries``); the Prometheus
+detected/dropped, SCAP violations per block, shard retries, cache
+hits, checkpoint resumes) without pulling in a client library.  Metric
+names are dotted (``service.shard_retries``); the Prometheus
 exposition mangles them to the conventional form
-(``repro_exec_retries_total``), while the JSON snapshot keeps the
+(``repro_service_shard_retries_total``), while the JSON snapshot keeps the
 dotted names for the :class:`~repro.reporting.runreport.RunReport`.
 
 Labels are plain keyword arguments::
 
     registry.counter("scap.violations").inc(3, block="B5")
     registry.gauge("flow.stage_index").set(2)
-    registry.histogram("exec.chunk_s").observe(0.125)
+    registry.histogram("http.request_s").observe(0.125)
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ Profiling is off by default (it costs real time); when the telemetry
 facade enables it, each flow stage runs under its own profiler and the
 accumulated statistics collapse into one top-N hotspot table that the
 :class:`~repro.reporting.runreport.RunReport` carries and the CLI
-prints.  Stages execute sequentially in the orchestrating process, so
-one profiler at a time is enough; worker-process time shows up in the
-trace (chunk spans), not here.
+prints.  Stages execute sequentially in one process, so one profiler
+at a time is enough.
 """
 
 from __future__ import annotations

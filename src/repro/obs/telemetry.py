@@ -16,11 +16,11 @@ line).  Flow results are bit-identical either way — telemetry only
 observes.
 
 The facade travels two ways: explicitly (``run_noise_tolerant_flow(...,
-telemetry=tel)``) and ambiently via :func:`use_telemetry` /
+context=RunContext(telemetry=tel))``) and ambiently via :func:`use_telemetry` /
 :func:`current_telemetry`, which is how deep layers (fault simulation,
-SCAP grading, DRC rules, the resilient executor) see the run's
+SCAP grading, DRC rules, the job service) see the run's
 telemetry without threading a parameter through every signature —
-the same pattern as :func:`repro.perf.resilient.execution_policy`.
+the same pattern as :func:`repro.perf.kernel_cache.use_kernel_cache`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Any, Dict, Iterator, List, Optional, Type, Union
 from .logs import RunLoggerAdapter, run_logger
 from .metrics import MetricsRegistry
 from .profiler import StageProfiler
-from .tracer import TraceEvent, Tracer
+from .tracer import Tracer
 
 
 class _NullSpan:
@@ -73,10 +73,6 @@ class NullTelemetry:
     metrics: Optional[MetricsRegistry] = None
     profiler: Optional[StageProfiler] = None
 
-    @property
-    def wants_worker_spans(self) -> bool:
-        return False
-
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
 
@@ -90,9 +86,6 @@ class NullTelemetry:
         return None
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
-        return None
-
-    def absorb_worker_events(self, events: List[TraceEvent]) -> None:
         return None
 
     def snapshot(self) -> Optional[Dict[str, Any]]:
@@ -139,18 +132,10 @@ class Telemetry:
         self.log: RunLoggerAdapter = run_logger(self.run_id)
 
     # -- tracing --------------------------------------------------------
-    @property
-    def wants_worker_spans(self) -> bool:
-        return self.tracer is not None
-
     def span(self, name: str, **attrs: Any) -> Any:
         if self.tracer is None:
             return _NULL_SPAN
         return self.tracer.span(name, **attrs)
-
-    def absorb_worker_events(self, events: List[TraceEvent]) -> None:
-        if self.tracer is not None and events:
-            self.tracer.absorb_events(events)
 
     # -- profiling ------------------------------------------------------
     def profile_stage(self, stage: str) -> Any:

@@ -2,23 +2,17 @@
 
 A :class:`Tracer` records *spans* — named, attributed, wall-clock
 intervals that nest: the flow run contains its stages, a stage contains
-its ATPG run and grading batches, a batch contains its lanes and the
-chunk executions that worker processes report back.  Finished spans
+its ATPG run and grading batches, a batch contains its lanes.  Finished spans
 accumulate as plain dicts (one per span) that export two ways:
 
 * **JSONL** — one JSON object per line, trivially greppable and
   streamable (the ``repro obs`` subcommand summarises these);
 * **Chrome trace-event format** — a ``{"traceEvents": [...]}`` document
   of ``"ph": "X"`` complete events that ``chrome://tracing`` and
-  Perfetto load directly, with worker-side events appearing under
-  their own pid rows.
+  Perfetto load directly, one row per pid.
 
-Spans opened in *this* process nest through an explicit stack (the
-orchestration layers are single-threaded).  Worker processes cannot
-share that stack; they instead build leaf events with
-:func:`worker_event` and ship them home on the existing chunk-result
-channel, where :meth:`Tracer.absorb_events` parents them under the
-span that was open at absorb time.
+Spans nest through an explicit stack (the orchestration layers are
+single-threaded).
 """
 
 from __future__ import annotations
@@ -33,26 +27,6 @@ from typing import Any, Dict, List, Optional, Type
 #: ``parent_id``, ``ts_s`` (wall-clock start, seconds), ``dur_s``,
 #: ``pid`` and free-form ``attrs``.
 TraceEvent = Dict[str, Any]
-
-
-def worker_event(
-    name: str, ts_s: float, dur_s: float, **attrs: Any
-) -> TraceEvent:
-    """Build a leaf trace event inside a worker process.
-
-    The event carries the worker's pid and absolute wall-clock times;
-    the parent tracer assigns ids and parentage when it absorbs the
-    event (see :meth:`Tracer.absorb_events`).
-    """
-    return {
-        "name": name,
-        "span_id": None,
-        "parent_id": None,
-        "ts_s": ts_s,
-        "dur_s": dur_s,
-        "pid": os.getpid(),
-        "attrs": attrs,
-    }
 
 
 class Span:
@@ -148,24 +122,6 @@ class Tracer:
             }
         )
 
-    # -- worker events --------------------------------------------------
-    def absorb_events(self, events: List[TraceEvent]) -> None:
-        """Adopt leaf events reported by worker processes.
-
-        Each event gets a fresh id and is parented under the span open
-        at absorb time (the batch/executor span that dispatched the
-        work), so the cross-process tree stays well-nested: the parent
-        opened before the chunk was submitted and closes after its
-        result was received.
-        """
-        parent = self.current_span_id()
-        for event in events:
-            self._next_id += 1
-            adopted = dict(event)
-            adopted["span_id"] = f"s{self._next_id}"
-            adopted["parent_id"] = parent
-            self.events.append(adopted)
-
     # -- export ---------------------------------------------------------
     def to_jsonl(self) -> str:
         """One finished span per line, in completion order."""
@@ -201,8 +157,8 @@ def events_to_chrome(events: List[TraceEvent]) -> List[Dict[str, Any]]:
     """Convert stored span events to Chrome trace-event dicts.
 
     Timestamps are rebased to the earliest span so the trace opens at
-    t=0; worker events keep their own pid and therefore render as
-    separate process rows in ``chrome://tracing``.
+    t=0; events from different pids render as separate process rows in
+    ``chrome://tracing``.
     """
     if not events:
         return []

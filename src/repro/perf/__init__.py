@@ -1,118 +1,37 @@
-"""Parallel/batched execution layer (the throughput subsystem).
+"""Caching layer for the throughput-critical engines.
 
 The paper's flow is re-grading-bound: every candidate pattern set is
 fault-simulated against the undetected universe and SCAP-graded per
 block, and the staged noise-aware procedure repeats both per stage per
-clock domain.  This package supplies the shared machinery that makes
-those hot paths cheap:
+clock domain.  This package supplies the caches that make those hot
+paths cheap:
 
-* :mod:`~repro.perf.pool` — a fork/spawn-safe process-pool map with
-  per-worker one-time initialisation (rebuild the netlist/simulator
-  once per worker, not once per task), chunk helpers, ordered result
-  merge and a graceful serial fallback,
-* :mod:`~repro.perf.resilient` — the fault-tolerant execution layer
-  under :func:`~repro.perf.pool.pool_map`: per-chunk futures, bounded
-  retries with backoff, per-task timeouts with hung-worker
-  cancellation, crash isolation onto rebuilt pools, and a structured
-  :class:`~repro.perf.resilient.ExecutionReport` of what was survived,
-* :mod:`~repro.perf.chaos` — deterministic fault injection (kill /
-  hang / transient-fail chosen workers on chosen chunks) so every
-  recovery path above is exercised by tests rather than trusted,
 * :mod:`~repro.perf.cache` — a digest-keyed pattern-profile cache so
   staged flows never re-simulate an identical launch state,
 * :mod:`~repro.perf.kernel_cache` — a persistent on-disk store of the
   fault simulator's compiled cone kernels, keyed by a structural
   netlist fingerprint, so the per-netlist compile tax is paid once per
-  machine instead of once per run per worker,
-* :mod:`~repro.perf.shm` — zero-copy pattern transport: packed bit
-  matrices in named shared-memory segments that pool workers attach by
-  handle instead of unpickling,
-* :mod:`~repro.perf.dispatch` — the work-size-aware dispatcher behind
-  ``n_workers="auto"``: estimates serial cost, counts the cores this
-  process may actually use, and picks batch or pool (and the shm
-  transport) instead of hoping the pool wins.
+  machine instead of once per run.
 
 The consumers are :meth:`repro.atpg.fsim.FaultSimulator.run_batch`
-(multi-word fault simulation with chunked fault partitions) and
+(multi-word fault simulation) and
 :meth:`repro.power.calculator.ScapCalculator.profile_patterns`
 (batched SCAP grading).
 """
 
-from . import chaos
 from .cache import PatternProfileCache, digest_key
-from .dispatch import (
-    Decision,
-    DispatchPolicy,
-    current_dispatch,
-    decide_fsim,
-    decide_scap,
-    dispatch_policy,
-    usable_cpus,
-)
 from .kernel_cache import (
     KernelCache,
     current_kernel_cache,
     netlist_fingerprint,
     use_kernel_cache,
 )
-from .pool import (
-    available_workers,
-    chunk_slices,
-    chunked,
-    pool_map,
-    resolve_workers,
-)
-from .shm import (
-    SharedPatternMatrix,
-    ShmHandle,
-    active_segments,
-    resolve_matrix,
-    shared_matrix,
-    shm_available,
-)
-from .resilient import (
-    ChunkFailure,
-    ExecutionReport,
-    RetryPolicy,
-    collect_reports,
-    default_policy,
-    execution_policy,
-    last_report,
-    resilient_map,
-)
 
 __all__ = [
-    "ChunkFailure",
-    "Decision",
-    "DispatchPolicy",
-    "ExecutionReport",
     "KernelCache",
     "PatternProfileCache",
-    "RetryPolicy",
-    "SharedPatternMatrix",
-    "ShmHandle",
-    "active_segments",
-    "available_workers",
-    "chaos",
-    "chunk_slices",
-    "chunked",
-    "collect_reports",
-    "current_dispatch",
     "current_kernel_cache",
-    "decide_fsim",
-    "decide_scap",
-    "default_policy",
     "digest_key",
-    "dispatch_policy",
-    "execution_policy",
-    "last_report",
     "netlist_fingerprint",
-    "pool_map",
-    "resilient_map",
-    "resolve_matrix",
-    "resolve_workers",
-    "shared_matrix",
-    "shm_available",
-    "usable_cpus",
     "use_kernel_cache",
 ]

@@ -3,8 +3,9 @@
 Fault simulation code-generates one straight-line Python kernel per
 fault-site fanout cone (see :meth:`repro.atpg.fsim.FaultSimulator`).
 Generating and ``compile()``-ing ~2 000 of them costs seconds — paid
-once per :class:`FaultSimulator`, which under a process pool means once
-per *worker* per run.  This cache makes that cost once per *netlist*:
+once per :class:`FaultSimulator`, so once per process per run (and
+once per job shard in the service).  This cache makes that cost once
+per *netlist*:
 compiled kernels are stored on disk as :mod:`marshal`-serialised code
 objects keyed by a structural netlist fingerprint, and a warm load
 (``marshal.loads`` + one ``FunctionType`` per site) is ~100x cheaper
@@ -20,13 +21,13 @@ The payload is ``(schema, magic, {site: (captures, gates, code)})``
 with ``code = None`` for cones that reach no capture net.  Every read
 verifies the checksum and the embedded schema/magic, so a corrupted or
 foreign entry degrades to a miss (recompile), never a failure; writes
-go through a temp file + :func:`os.replace`, so concurrent workers
+go through a temp file + :func:`os.replace`, so concurrent processes
 racing on a cold cache at worst overwrite each other with identical
 content.  The directory is bounded: past ``max_entries`` files the
 oldest (by mtime) are evicted.
 
 The cache is ambient by default (like
-:func:`repro.perf.resilient.execution_policy`): simulators pick up
+:func:`repro.obs.use_telemetry`): simulators pick up
 :func:`current_kernel_cache` unless handed an explicit cache or
 ``None``.  ``REPRO_KERNEL_CACHE=0`` disables it process-wide;
 ``REPRO_KERNEL_CACHE_DIR`` moves the default root (otherwise
@@ -257,7 +258,7 @@ class KernelCache:
 
 
 # ----------------------------------------------------------------------
-# ambient default (execution_policy pattern)
+# ambient default (same pattern as repro.obs.use_telemetry)
 # ----------------------------------------------------------------------
 _UNSET = object()
 _cache_stack: List[Optional[KernelCache]] = [_UNSET]  # type: ignore[list-item]

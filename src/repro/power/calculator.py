@@ -16,18 +16,15 @@ caller needs arrivals (endpoint delays, dynamic IR-drop).
 Throughput: :meth:`ScapCalculator.profile_patterns` grades a whole
 pattern set at once — the launch-to-capture logic simulation runs
 bit-parallel over machine-word lanes (so its cost is amortised across
-the lane instead of paid twice per pattern), per-pattern timing
-simulations optionally fan out across a process pool, and a digest-
-keyed profile cache short-circuits launch states that were already
-simulated.  All paths are bit-exact with per-pattern
+the lane instead of paid twice per pattern), and a digest-keyed profile
+cache short-circuits launch states that were already simulated.  All paths are bit-exact with per-pattern
 :meth:`profile_pattern`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,9 +32,6 @@ from ..config import VDD_NOMINAL
 from ..errors import ConfigError
 from ..obs import current_telemetry
 from ..perf.cache import PatternProfileCache, digest_key
-from ..perf.dispatch import current_dispatch, decide_scap, wants_auto
-from ..perf.pool import chunk_slices, pool_map, resolve_workers
-from ..perf.shm import resolve_matrix, shared_matrix, shm_available
 from ..sim.delays import DelayModel
 from ..sim.event import EventTimingSim, TimingResult, build_launch_events
 from ..sim.fasttiming import FastTimingSim
@@ -83,10 +77,6 @@ class ScapCalculator:
 
         netlist = design.netlist
         self.logic = LogicSim(netlist)
-        # Workers rebuild the calculator from (design, domain, engine,
-        # vdd) alone; a caller-supplied delay model cannot be
-        # reproduced there, so it pins the calculator to serial mode.
-        self._default_delays = delays is None
         self.delays = (
             delays if delays is not None
             else DelayModel(netlist, design.parasitics)
@@ -209,12 +199,9 @@ class ScapCalculator:
         self,
         patterns,
         *,
-        n_workers: Union[int, str, None] = 1,
-        transport: Optional[str] = None,
         lane_width: int = MAX_LANE_WIDTH,
         protocol: str = "loc",
         v2_matrix: Optional[np.ndarray] = None,
-        exec_policy=None,
     ) -> List[PatternPowerProfile]:
         """Grade a whole pattern batch; profiles in input order.
 
@@ -226,29 +213,12 @@ class ScapCalculator:
 
         Parameters
         ----------
-        n_workers:
-            Fan per-pattern timing simulations out across a process
-            pool (each worker rebuilds the calculator once).  ``<= 1``
-            stays serial; ``"auto"`` lets
-            :func:`repro.perf.dispatch.decide_scap` pick batch or pool
-            from the work size and usable cores.
-        transport:
-            How pool workers receive the pattern matrix: ``"inherit"``
-            pickles it into initargs, ``"shm"`` ships one packed
-            :mod:`repro.perf.shm` segment; work items are always just
-            ``(indices, start, stop)`` row ranges.  ``None`` (default)
-            decides from matrix size via the ambient
-            :class:`~repro.perf.dispatch.DispatchPolicy`.
         lane_width:
             Patterns per bit-parallel logic-simulation lane (clamped to
             one machine word).
         protocol:
             ``"loc"`` (default), ``"los"``, or ``"es"`` (pass
             *v2_matrix*).
-        exec_policy:
-            Optional :class:`~repro.perf.resilient.RetryPolicy` for
-            the pooled path.  ``None`` uses the ambient default — see
-            :func:`repro.perf.resilient.execution_policy`.
         """
         indices, matrix = _normalize_patterns(
             patterns, self.design.netlist.n_flops
@@ -265,9 +235,6 @@ class ScapCalculator:
                 )
         elif protocol not in ("loc", "los"):
             raise ConfigError(f"unknown protocol {protocol!r}")
-        if transport not in (None, "inherit", "shm"):
-            raise ConfigError("transport must be None, 'inherit' or 'shm'")
-
         lane_width = max(1, min(int(lane_width), MAX_LANE_WIDTH))
         cache = self.cache if protocol == "loc" and v2_matrix is None else None
 
@@ -312,9 +279,8 @@ class ScapCalculator:
                 miss_v2 = (
                     v2_matrix[miss_rows] if v2_matrix is not None else None
                 )
-                profiles = self._dispatch(
-                    miss_indices, miss_matrix, protocol, miss_v2,
-                    lane_width, n_workers, transport, exec_policy,
+                profiles = self._profile_lanes(
+                    miss_indices, miss_matrix, protocol, miss_v2, lane_width
                 )
                 for row, profile in zip(miss_rows, profiles):
                     out[row] = profile
@@ -331,78 +297,7 @@ class ScapCalculator:
             return out  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    def _dispatch(
-        self,
-        indices: Sequence[int],
-        matrix: np.ndarray,
-        protocol: str,
-        v2_matrix: Optional[np.ndarray],
-        lane_width: int,
-        n_workers: Union[int, str, None],
-        transport: Optional[str] = None,
-        exec_policy=None,
-    ) -> List[PatternPowerProfile]:
-        n_rows = matrix.shape[0]
-        if wants_auto(n_workers):
-            decision = decide_scap(n_rows, matrix_bytes=int(matrix.nbytes))
-            eff = decision.n_workers if decision.mode == "pool" else 1
-            use_shm = (
-                decision.use_shm if transport is None else transport == "shm"
-            )
-        else:
-            eff = resolve_workers(n_workers, n_rows)
-            if transport is None:
-                use_shm = (
-                    int(matrix.nbytes) // 8
-                    >= current_dispatch().shm_min_bytes
-                )
-            else:
-                use_shm = transport == "shm"
-        if eff > 1 and not self._default_delays:
-            warnings.warn(
-                "custom delay models cannot be rebuilt in workers; "
-                "grading serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            eff = 1
-        use_shm = use_shm and eff > 1 and shm_available()
-        if eff <= 1:
-            return self._profile_serial(
-                indices, matrix, protocol, v2_matrix, lane_width
-            )
-        # The matrix ships once per worker (initargs — shm handle or
-        # pickled inline); items shrink to (indices, start, stop) row
-        # ranges instead of each dragging its own matrix slice along.
-        slices = chunk_slices(n_rows, eff * 2)
-        items = [
-            (tuple(indices[start:stop]), start, stop)
-            for start, stop in slices
-        ]
-        with shared_matrix(
-            matrix if use_shm else None
-        ) as h1, shared_matrix(
-            v2_matrix if use_shm else None
-        ) as h2:
-            results = pool_map(
-                _scap_worker_task,
-                items,
-                n_workers=eff,
-                policy=exec_policy,
-                initializer=_scap_worker_init,
-                initargs=(
-                    self.design, self.domain, self.engine, self.vdd,
-                    protocol, lane_width,
-                    h1 if h1 is not None else matrix,
-                    h2 if h2 is not None else v2_matrix,
-                ),
-            )
-        merged: List[PatternPowerProfile] = []
-        for part in results:
-            merged.extend(part)
-        return merged
-
-    def _profile_serial(
+    def _profile_lanes(
         self,
         indices: Sequence[int],
         matrix: np.ndarray,
@@ -513,50 +408,6 @@ class ScapCalculator:
             np.asarray(v1_row, dtype=np.uint8)
         ).tobytes()
         return digest_key(payload, self._cache_context + (protocol,))
-
-
-# ----------------------------------------------------------------------
-# worker-side plumbing (module-level for picklability)
-# ----------------------------------------------------------------------
-_SCAP_WORKER_STATE: Optional[Tuple] = None
-
-
-def _scap_worker_init(
-    design: SocDesign,
-    domain: str,
-    engine: str,
-    vdd: float,
-    protocol: str,
-    lane_width: int,
-    v1_source=None,
-    v2_source=None,
-) -> None:
-    """Rebuild the calculator once per worker process.
-
-    The pattern matrices arrive either inline or as
-    :mod:`repro.perf.shm` handles; tasks then only carry row ranges.
-    """
-    global _SCAP_WORKER_STATE
-    _SCAP_WORKER_STATE = (
-        ScapCalculator(design, domain, engine=engine, vdd=vdd),
-        protocol,
-        lane_width,
-        resolve_matrix(v1_source),
-        resolve_matrix(v2_source),
-    )
-
-
-def _scap_worker_task(item) -> List[PatternPowerProfile]:
-    """Grade one contiguous pattern row range (runs in a worker)."""
-    indices, start, stop = item
-    calc, protocol, lane_width, v1, v2 = _SCAP_WORKER_STATE
-    return calc._profile_serial(
-        indices,
-        v1[start:stop],
-        protocol,
-        v2[start:stop] if v2 is not None else None,
-        lane_width,
-    )
 
 
 # ----------------------------------------------------------------------

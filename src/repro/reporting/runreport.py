@@ -3,8 +3,8 @@
 A long flow used to answer "what happened?" with either a full result
 or a bare traceback.  :class:`RunReport` is the third answer: a
 machine-readable record of which stages completed (and whether they
-came from checkpoints), the per-chunk failure log and retry counts of
-the execution layer, and the error that stopped a partial run — enough
+came from checkpoints), the per-attempt failure log of service jobs,
+and the error that stopped a partial run — enough
 to decide whether to resume, where to resume from, and what to page an
 operator about.  ``python -m repro flow --report out.json`` writes one,
 and CI uploads it as a build artifact for deliberately-interrupted
@@ -47,8 +47,8 @@ class RunReport:
     flow: str
     status: str = RUN_COMPLETED
     stages: List[StageRecord] = field(default_factory=list)
-    #: Per-chunk failure log aggregated from the execution layer
-    #: (dicts shaped like :class:`repro.perf.resilient.ChunkFailure`).
+    #: Per-attempt failure log (the job service fills it from its
+    #: shard records: time, worker, attempt, kind, error, stage).
     failures: List[Dict[str, Any]] = field(default_factory=list)
     #: Retries consumed per stage name.
     retries: Dict[str, int] = field(default_factory=dict)
@@ -110,18 +110,6 @@ class RunReport:
         )
         self.stages.append(record)
         return record
-
-    def absorb_execution_report(self, stage: str, exec_report) -> None:
-        """Fold one :class:`~repro.perf.resilient.ExecutionReport` in."""
-        if exec_report is None:
-            return
-        retries = exec_report.total_retries
-        if retries:
-            self.retries[stage] = self.retries.get(stage, 0) + retries
-        for failure in exec_report.failures:
-            entry = failure.to_dict()
-            entry["stage"] = stage
-            self.failures.append(entry)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

@@ -43,6 +43,7 @@ from .jobstore import (
     JobStore,
     ServiceConfig,
     ShardRecord,
+    backoff_delay_s,
 )
 from .lease import Lease, LeaseHeartbeat
 from .supervisor import ServiceSupervisor
@@ -71,6 +72,7 @@ __all__ = [
     "ShardRecord",
     "TenantFleet",
     "TenantManager",
+    "backoff_delay_s",
     "result_payload",
     "run_shard_flow",
     "validate_tenant_name",

@@ -41,9 +41,8 @@ import urllib.parse
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import JobNotFoundError, ServiceBusyError, ServiceError
-from ..perf.resilient import backoff_delay_s
 from ..reporting.runreport import RunReport
-from .jobstore import JobRecord, JobSpec, JobStore
+from .jobstore import JobRecord, JobSpec, JobStore, backoff_delay_s
 from .worker import ServiceWorker
 
 
@@ -100,7 +99,7 @@ class ServiceClient:
         whatever progress it made and can be waited on again.
 
         Polling backs off exponentially from *poll_s* to *poll_max_s*
-        (the shared :func:`~repro.perf.resilient.backoff_delay_s`
+        (the shared :func:`~repro.service.jobstore.backoff_delay_s`
         curve) while the job record does not change, and snaps back to
         *poll_s* whenever it does — a long-running shard costs a few
         capped polls per lease TTL, not thousands of busy reads of a

@@ -21,8 +21,8 @@ The state machine, enforced by the store::
 * **leased/running → queued**: the lease expired (worker SIGKILLed,
   hung, or unplugged) or the task raised a
   :class:`~repro.errors.TransientError`; the shard is requeued with
-  ``attempts + 1`` and a deterministic exponential backoff shared with
-  :func:`repro.perf.resilient.backoff_delay_s`.
+  ``attempts + 1`` and a deterministic exponential backoff
+  (:func:`backoff_delay_s`, shared with the client's polling).
 * **→ dead**: a shard that has burned ``max_shard_attempts`` leases —
   i.e. killed that many consecutive workers — is *quarantined*: the
   job ends ``dead`` with a synthesized RunReport carrying the full
@@ -49,6 +49,7 @@ import fcntl
 import json
 import os
 import pickle
+import random
 import time
 import uuid
 import warnings
@@ -70,7 +71,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from ..errors import JobNotFoundError, ServiceBusyError, ServiceError
 from ..obs import current_telemetry
-from ..perf.resilient import RetryPolicy
 from ..reporting.runreport import RUN_FAILED, RunReport
 from .lease import Lease
 
@@ -122,6 +122,27 @@ def _atomic_write_json(path: str, data: Dict[str, Any]) -> None:
     _atomic_write_bytes(path, (blob + "\n").encode("utf-8"))
 
 
+def backoff_delay_s(
+    base_s: float,
+    factor: float,
+    max_s: float,
+    jitter: float,
+    seed: int,
+    index: int,
+    attempt: int,
+) -> float:
+    """Exponential backoff with deterministic jitter.
+
+    Delay before retry *attempt* (0-based) of work unit *index*:
+    ``base * factor**attempt`` capped at *max_s*, plus up to
+    ``jitter`` fraction extra derived from ``(seed, index, attempt)``,
+    so shard requeues and client polling are reproducible run to run.
+    """
+    base = min(max_s, base_s * (factor ** attempt))
+    rng = random.Random((seed * 1_000_003) ^ (index * 7_919 + attempt))
+    return base * (1.0 + jitter * rng.random())
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Shared knobs of one job store (persisted as ``config.json``).
@@ -140,8 +161,7 @@ class ServiceConfig:
     #: (= consecutive workers it is allowed to kill).
     max_shard_attempts: int = 3
     #: Requeue backoff: ``base * factor**attempt`` capped at ``max``,
-    #: plus deterministic jitter — the same curve
-    #: :class:`repro.perf.resilient.RetryPolicy` applies to chunks.
+    #: plus deterministic jitter (see :func:`backoff_delay_s`).
     backoff_base_s: float = 0.25
     backoff_factor: float = 2.0
     backoff_max_s: float = 10.0
@@ -153,18 +173,6 @@ class ServiceConfig:
         """Renewal interval: a third of the TTL, so one missed beat is
         survivable and two are not."""
         return self.lease_ttl_s / 3.0
-
-    def retry_policy(self) -> RetryPolicy:
-        """The shard retry schedule as a shared
-        :class:`~repro.perf.resilient.RetryPolicy`."""
-        return RetryPolicy(
-            max_attempts=self.max_shard_attempts,
-            backoff_base_s=self.backoff_base_s,
-            backoff_factor=self.backoff_factor,
-            backoff_max_s=self.backoff_max_s,
-            jitter=self.backoff_jitter,
-            seed=self.backoff_seed,
-        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -830,9 +838,11 @@ class JobStore:
             self._write_failure_report(job)
             return
         shard.state = SHARD_QUEUED
-        policy = self.config.retry_policy()
-        shard.not_before = now + policy.backoff_s(
-            shard.index, shard.attempts - 1
+        cfg = self.config
+        shard.not_before = now + backoff_delay_s(
+            cfg.backoff_base_s, cfg.backoff_factor, cfg.backoff_max_s,
+            cfg.backoff_jitter, cfg.backoff_seed, shard.index,
+            shard.attempts - 1,
         )
         tel.count("service.shard_retries")
 

@@ -62,6 +62,19 @@ class TestCli:
 
 
 class TestFlowCli:
+    def test_workers_option_is_a_usage_error(self, capsys):
+        # Grading runs in one process; the flow takes no pool size.
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+    def test_serve_still_sizes_its_fleet(self, tmp_path, capsys):
+        assert main([
+            "serve", str(tmp_path / "store"), "--workers", "0", "--drain",
+        ]) == 0
+        assert "in-process (degraded) execution" in capsys.readouterr().out
+
     def test_flow_stop_resume_and_report(self, tmp_path, capsys):
         import json
 

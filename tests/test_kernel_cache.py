@@ -220,15 +220,6 @@ class TestCorruption:
 # concurrency: cold-cache races are safe
 # ----------------------------------------------------------------------
 class TestConcurrency:
-    def test_pool_on_cold_cache_bit_identical(self, graded, tmp_path):
-        design, domain, reps, matrix = graded
-        ref = _reference(graded)
-        cache = KernelCache(tmp_path)
-        with use_kernel_cache(cache):
-            sim = FaultSimulator(design.netlist, domain)
-            got = sim.run_batch(matrix, reps, n_workers=2)
-        assert got == ref
-
     def test_racing_stores_converge(self, graded, tmp_path):
         design, domain, reps, matrix = graded
         ref = _reference(graded)

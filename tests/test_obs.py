@@ -12,10 +12,10 @@ from __future__ import annotations
 import io
 import json
 import logging
-import time
 
 import pytest
 
+from repro import RunContext
 from repro.obs import (
     LOG_LEVELS,
     NULL_TELEMETRY,
@@ -33,7 +33,6 @@ from repro.obs import (
     setup_logging,
     summarize,
     use_telemetry,
-    worker_event,
 )
 
 
@@ -92,20 +91,6 @@ class TestTracer:
         assert chrome[0]["ph"] == "X"
         assert chrome[0]["ts"] == 0.0  # earliest event rebased to t=0
         assert chrome[0]["dur"] >= 0.0
-
-    def test_absorbed_worker_events_parent_under_open_span(self):
-        tracer = Tracer("t6")
-        with tracer.span("dispatch"):
-            tracer.absorb_events(
-                [worker_event("exec.chunk", time.time(), 0.0, chunk=3)]
-            )
-        by_name = {e["name"]: e for e in tracer.events}
-        assert (
-            by_name["exec.chunk"]["parent_id"]
-            == by_name["dispatch"]["span_id"]
-        )
-        assert by_name["exec.chunk"]["attrs"]["chunk"] == 3
-        assert not nesting_errors(tracer.events)
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +200,6 @@ class TestTelemetryFacade:
         assert NULL_TELEMETRY.span("a") is NULL_TELEMETRY.span("b")
         assert NULL_TELEMETRY.count("c") is None
         assert NULL_TELEMETRY.snapshot() is None
-        assert not NULL_TELEMETRY.wants_worker_spans
 
     def test_ambient_default_and_scoping(self):
         assert current_telemetry() is NULL_TELEMETRY
@@ -230,7 +214,6 @@ class TestTelemetryFacade:
 
     def test_disabled_layers_degrade_to_noops(self):
         tel = Telemetry(run_id="bare", tracing=False, metrics=False)
-        assert not tel.wants_worker_spans
         with tel.span("x"):
             tel.count("a")
             tel.observe("b", 1.0)
@@ -298,7 +281,8 @@ class TestFlowTelemetry:
 
         tel = Telemetry(run_id="flowtest")
         result, report = run_noise_tolerant_flow(
-            tiny_design, max_patterns=12, telemetry=tel, seed=1,
+            tiny_design, max_patterns=12, seed=1,
+            context=RunContext(telemetry=tel),
         )
         assert report.status == "completed"
         # span tree covers the whole stack and stays well-nested
@@ -325,7 +309,7 @@ class TestFlowTelemetry:
 
         with_tel, _ = run_noise_tolerant_flow(
             tiny_design, max_patterns=12, seed=1,
-            telemetry=Telemetry(run_id="a"),
+            context=RunContext(telemetry=Telemetry(run_id="a")),
         )
         without, _ = run_noise_tolerant_flow(
             tiny_design, max_patterns=12, seed=1,
@@ -356,60 +340,3 @@ class TestFlowTelemetry:
         assert counted == len(report.violations)
 
 
-# ----------------------------------------------------------------------
-# chaos: telemetry under injected infrastructure failure
-# ----------------------------------------------------------------------
-@pytest.mark.chaos
-class TestObsChaos:
-    def test_trace_and_metrics_survive_worker_kill(self, tiny_design):
-        import numpy as np
-
-        from repro.atpg.faults import build_fault_universe
-        from repro.atpg.fsim import FaultSimulator
-        from repro.perf import chaos
-        from repro.perf.resilient import execution_policy, last_report
-
-        netlist = tiny_design.netlist
-        domain = tiny_design.dominant_domain()
-        faults = build_fault_universe(netlist)[:80]
-        rng = np.random.default_rng(3)
-        matrix = rng.integers(0, 2, size=(64, netlist.n_flops)).astype(
-            "uint8"
-        )
-        fsim = FaultSimulator(netlist, domain)
-        serial = fsim.run_batch(matrix, faults, lane_width=64)
-
-        tel = Telemetry(run_id="chaos")
-        spec = chaos.ChaosSpec(kill={1: (0,)})
-        with use_telemetry(tel), chaos.inject(spec), execution_policy(
-            backoff_base_s=0.001, jitter=0.0
-        ):
-            survived = fsim.run_batch(
-                matrix, faults, lane_width=64, n_workers=2
-            )
-
-        # recovery did not change results, and telemetry watched it all
-        assert survived == serial
-        report = last_report()
-        assert not nesting_errors(tel.tracer.events)
-        crashes = tel.metrics.counter("exec.worker_crashes").total
-        assert crashes >= 1
-        assert tel.metrics.counter("exec.retries").total == (
-            report.total_retries
-        )
-        assert tel.metrics.counter("exec.chunks").total == report.n_chunks
-        assert tel.metrics.counter("exec.pool_rebuilds").total == (
-            report.pool_rebuilds
-        )
-        # worker chunk spans rode home on the result channel; the
-        # killed attempt never reported, so at most one event per
-        # successful attempt arrived
-        chunk_events = [
-            e for e in tel.tracer.events if e["name"] == "exec.chunk"
-        ]
-        assert chunk_events
-        assert len(chunk_events) <= sum(report.chunk_attempts.values())
-        # monotonicity: every counter series is non-negative
-        for metric in tel.metrics.snapshot().values():
-            if metric["kind"] == "counter":
-                assert all(v >= 0 for v in metric["series"].values())

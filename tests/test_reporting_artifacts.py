@@ -11,7 +11,6 @@ import pytest
 from repro import CaseStudy
 from repro.__main__ import main
 from repro.errors import CheckpointError
-from repro.perf.resilient import ChunkFailure, ExecutionReport
 from repro.reporting import (
     RUN_COMPLETED,
     RUN_PARTIAL,
@@ -179,20 +178,6 @@ class TestRunReport:
         assert rep.completed_stages() == ["s0", "s1"]
         assert rep.resumed_stages() == ["s0"]
         assert rep.pending_stages() == ["s2"]
-
-    def test_absorb_execution_report(self):
-        rep = self._report()
-        exec_rep = ExecutionReport(
-            n_chunks=4,
-            chunk_attempts={0: 1, 1: 3},
-            failures=[ChunkFailure(1, 0, "transient", "x"),
-                      ChunkFailure(1, 1, "transient", "x")],
-        )
-        rep.absorb_execution_report("s1", exec_rep)
-        assert rep.retries["s1"] == 2
-        assert rep.total_retries == 2
-        assert len(rep.failures) == 2
-        assert rep.failures[0]["kind"] == "transient"
 
     def test_json_roundtrip_and_save(self, tmp_path):
         rep = self._report()

@@ -4,10 +4,8 @@ Part one: the headline result is not one lucky seed — the
 conventional-vs-staged comparison holds on three independently
 generated tiny SOCs.
 
-Part two (``-m chaos``): the execution layer survives deliberately
-injected infrastructure failures — workers SIGKILLed mid-batch, hung
-past their deadline, transient faults — and interrupted flows resume
-from checkpoints, all **bit-identical** to an undisturbed serial run.
+Part two: interrupted and crashed flows resume from checkpoints
+**bit-identically** to an undisturbed run.
 """
 
 from __future__ import annotations
@@ -19,9 +17,6 @@ import pytest
 
 from repro import CaseStudy
 from repro.core.flow import NoiseAwarePatternGenerator, run_noise_tolerant_flow
-from repro.perf import chaos
-from repro.perf.resilient import execution_policy, last_report
-from repro.power.calculator import ScapCalculator
 from repro.soc import build_turbo_eagle
 
 SEEDS = (11, 97, 2024)
@@ -57,107 +52,13 @@ def test_headline_holds_across_seeds(seed):
 
 
 # ----------------------------------------------------------------------
-# chaos: injected infrastructure failures on the real pipeline
+# checkpoint resume on the real pipeline
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def tiny_design():
     return build_turbo_eagle("tiny", seed=2007)
 
 
-@pytest.fixture(scope="module")
-def fault_batch(tiny_design):
-    from repro.atpg.faults import build_fault_universe, collapse_faults
-
-    nl = tiny_design.netlist
-    reps, _ = collapse_faults(nl, build_fault_universe(nl))
-    rng = np.random.default_rng(5)
-    matrix = rng.integers(0, 2, size=(120, nl.n_flops), dtype=np.int8)
-    return list(reps), matrix
-
-
-@pytest.mark.chaos
-class TestChaosPipeline:
-    """Kill, hang and fail workers under the paper's real workloads."""
-
-    def test_fsim_survives_worker_kill_bit_identical(
-        self, tiny_design, fault_batch
-    ):
-        from repro.atpg.fsim import FaultSimulator
-
-        faults, matrix = fault_batch
-        fsim = FaultSimulator(tiny_design.netlist, tiny_design.dominant_domain())
-        serial = fsim.run_batch(matrix, faults, lane_width=64)
-        spec = chaos.ChaosSpec(kill={1: (0,)})
-        with chaos.inject(spec), execution_policy(
-            backoff_base_s=0.001, jitter=0.0
-        ):
-            survived = fsim.run_batch(
-                matrix, faults, lane_width=64, n_workers=2
-            )
-        assert survived == serial
-        report = last_report()
-        assert report.pool_rebuilds >= 1
-        assert not report.serial_fallback  # recovered, not degraded
-        # bounded recovery: at most the chunks in flight when the
-        # worker died (<= n_workers) burned an extra try — completed
-        # chunks were never re-run
-        assert 1 <= len(report.retried_chunks) <= 2
-        assert all(a <= 2 for a in report.chunk_attempts.values())
-
-    def test_scap_survives_worker_kill_bit_identical(
-        self, tiny_design, fault_batch
-    ):
-        _faults, matrix = fault_batch
-        domain = tiny_design.dominant_domain()
-        serial = ScapCalculator(tiny_design, domain).profile_patterns(
-            matrix[:60]
-        )
-        calc = ScapCalculator(tiny_design, domain)
-        spec = chaos.ChaosSpec(kill={0: (0,)})
-        with chaos.inject(spec), execution_policy(
-            backoff_base_s=0.001, jitter=0.0
-        ):
-            survived = calc.profile_patterns(matrix[:60], n_workers=2)
-        assert survived == serial
-        assert not last_report().serial_fallback
-
-    def test_scap_hang_past_timeout_recovers(self, tiny_design, fault_batch):
-        _faults, matrix = fault_batch
-        domain = tiny_design.dominant_domain()
-        serial = ScapCalculator(tiny_design, domain).profile_patterns(
-            matrix[:60]
-        )
-        calc = ScapCalculator(tiny_design, domain)
-        spec = chaos.ChaosSpec(hang={0: (0,)}, hang_s=60.0)
-        with chaos.inject(spec), execution_policy(
-            timeout_s=15.0, backoff_base_s=0.001, jitter=0.0
-        ):
-            survived = calc.profile_patterns(matrix[:60], n_workers=2)
-        assert survived == serial
-        report = last_report()
-        assert report.n_timeouts >= 1
-        assert not report.serial_fallback
-
-    def test_fsim_transient_failures_retry_to_success(
-        self, tiny_design, fault_batch
-    ):
-        from repro.atpg.fsim import FaultSimulator
-
-        faults, matrix = fault_batch
-        fsim = FaultSimulator(tiny_design.netlist, tiny_design.dominant_domain())
-        serial = fsim.run_batch(matrix, faults, lane_width=64)
-        spec = chaos.ChaosSpec(fail={0: (0,), 2: (0, 1)})
-        with chaos.inject(spec), execution_policy(
-            backoff_base_s=0.001, jitter=0.0
-        ):
-            survived = fsim.run_batch(
-                matrix, faults, lane_width=64, n_workers=2
-            )
-        assert survived == serial
-        assert last_report().total_retries >= 3
-
-
-@pytest.mark.chaos
 class TestCheckpointResume:
     """Interrupted flows resume and finish bit-identical."""
 

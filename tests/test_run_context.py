@@ -15,9 +15,7 @@ from repro.obs import (
     current_telemetry,
     use_telemetry,
 )
-from repro.perf.dispatch import DispatchPolicy, current_dispatch, dispatch_policy
 from repro.perf.kernel_cache import KernelCache, current_kernel_cache, use_kernel_cache
-from repro.perf.resilient import RetryPolicy, default_policy, execution_policy
 from repro.soc import build_turbo_eagle
 
 
@@ -29,55 +27,35 @@ def design():
 class TestRunContextScoping:
     def test_default_context_inherits_everything(self):
         ctx = RunContext()
-        assert ctx.is_default()
-        before = (
-            current_telemetry(),
-            default_policy(),
-            current_dispatch(),
-            current_kernel_cache(),
-        )
+        assert ctx.telemetry is None and ctx.kernel_cache is INHERIT_CACHE
+        before = (current_telemetry(), current_kernel_cache())
         with use_run_context(ctx):
-            assert (
-                current_telemetry(),
-                default_policy(),
-                current_dispatch(),
-                current_kernel_cache(),
-            ) == before
+            assert (current_telemetry(), current_kernel_cache()) == before
 
     def test_none_context_is_noop(self):
         before = current_telemetry()
         with use_run_context(None) as ctx:
-            assert ctx.is_default()
+            assert ctx == RunContext()
             assert current_telemetry() is before
 
     def test_scopes_compose_like_individual_managers(self, tmp_path):
         tel = Telemetry(metrics=True)
-        retry = RetryPolicy(max_attempts=4)
-        dispatch = DispatchPolicy(mode="batch")
         cache = KernelCache(str(tmp_path))
-        ctx = RunContext(
-            telemetry=tel,
-            execution=retry,
-            dispatch=dispatch,
-            kernel_cache=cache,
-        )
-        assert not ctx.is_default()
+        ctx = RunContext(telemetry=tel, kernel_cache=cache)
         with use_run_context(ctx):
             assert current_telemetry() is tel
-            assert default_policy() is retry
-            assert current_dispatch() is dispatch
             assert current_kernel_cache() is cache
         # Everything unwinds on exit.
         assert current_telemetry() is not tel
-        assert default_policy() is not retry
-        assert current_dispatch() is not dispatch
         assert current_kernel_cache() is not cache
 
-    def test_partial_context_keeps_outer_scopes(self):
+    def test_partial_context_keeps_outer_scopes(self, tmp_path):
         outer_tel = Telemetry(metrics=True)
+        cache = KernelCache(str(tmp_path))
         with use_telemetry(outer_tel):
-            with use_run_context(RunContext(dispatch=DispatchPolicy())):
+            with use_run_context(RunContext(kernel_cache=cache)):
                 assert current_telemetry() is outer_tel
+                assert current_kernel_cache() is cache
 
     def test_kernel_cache_tristate(self, tmp_path):
         cache = KernelCache(str(tmp_path))
@@ -90,23 +68,26 @@ class TestRunContextScoping:
                 assert current_kernel_cache() is None
         assert repr(INHERIT_CACHE) == "INHERIT_CACHE"
 
-    def test_current_run_context_snapshot_round_trips(self):
+    def test_current_run_context_snapshot_round_trips(self, tmp_path):
         tel = Telemetry(metrics=True)
-        with use_telemetry(tel), execution_policy(RetryPolicy(max_attempts=2)):
+        cache = KernelCache(str(tmp_path))
+        with use_telemetry(tel), use_kernel_cache(cache):
             snap = current_run_context()
         assert snap.telemetry is tel
-        assert snap.execution.max_attempts == 2
+        assert snap.kernel_cache is cache
         with use_run_context(snap):
             assert current_telemetry() is tel
-            assert default_policy().max_attempts == 2
+            assert current_kernel_cache() is cache
 
 
 class TestFlowContextApi:
-    def test_context_matches_legacy_knobs_bit_identically(self, design):
-        """context=RunContext(...) reproduces the four-ambient-knob
+    def test_context_matches_legacy_knobs_bit_identically(
+        self, design, tmp_path
+    ):
+        """context=RunContext(...) reproduces the ambient-knob
         configuration bit for bit."""
-        with use_telemetry(None), execution_policy(RetryPolicy()), \
-                dispatch_policy(DispatchPolicy()):
+        cache = KernelCache(str(tmp_path))
+        with use_telemetry(None), use_kernel_cache(cache):
             legacy, _ = run_noise_tolerant_flow(
                 design, max_patterns=15, seed=1
             )
@@ -114,35 +95,12 @@ class TestFlowContextApi:
             design,
             max_patterns=15,
             seed=1,
-            context=RunContext(
-                telemetry=None,
-                execution=RetryPolicy(),
-                dispatch=DispatchPolicy(),
-            ),
+            context=RunContext(telemetry=None, kernel_cache=cache),
         )
         assert (
             legacy.pattern_set.as_matrix().tobytes()
             == via_ctx.pattern_set.as_matrix().tobytes()
         )
-
-    def test_telemetry_kwarg_warns_and_still_works(self, design):
-        tel = Telemetry(metrics=True)
-        with pytest.warns(DeprecationWarning, match="telemetry="):
-            result, report = run_noise_tolerant_flow(
-                design, max_patterns=10, telemetry=tel
-            )
-        assert result is not None
-        assert report.telemetry is not None
-        assert report.telemetry["run_id"] == tel.run_id
-
-    def test_casestudy_telemetry_kwarg_warns(self):
-        from repro import CaseStudy
-
-        tel = Telemetry(metrics=True)
-        with pytest.warns(DeprecationWarning, match="telemetry="):
-            study = CaseStudy(scale="tiny", telemetry=tel)
-        assert study.context.telemetry is tel
-        assert study.telemetry is tel
 
     def test_no_warning_on_context_api(self, design):
         with warnings.catch_warnings():

@@ -35,6 +35,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ServiceSupervisor,
+    backoff_delay_s,
 )
 from repro.soc import build_turbo_eagle
 
@@ -208,6 +209,39 @@ class TestNetlistSpec:
         assert design_from_netlist is not None
         assert again.netlist.n_flops == rebuilt.netlist.n_flops
         assert again.blocks() == rebuilt.blocks()
+
+
+# ----------------------------------------------------------------------
+# shard requeue backoff
+# ----------------------------------------------------------------------
+class TestBackoff:
+    def test_backoff_is_deterministic_and_bounded(self):
+        cfg = ServiceConfig(backoff_seed=7)
+
+        def delay(index: int, attempt: int) -> float:
+            return backoff_delay_s(
+                cfg.backoff_base_s, cfg.backoff_factor, cfg.backoff_max_s,
+                cfg.backoff_jitter, cfg.backoff_seed, index, attempt,
+            )
+
+        a = delay(3, 1)
+        assert a == delay(3, 1)
+        assert a != delay(3, 2)
+        for attempt in range(10):
+            assert 0 < delay(0, attempt) <= (
+                cfg.backoff_max_s * (1 + cfg.backoff_jitter)
+            )
+
+    def test_requeue_waits_out_the_configured_backoff(self, store):
+        job = store.submit(JobSpec(), now=0.0)
+        assert store.claim("w1", now=0.0) is not None
+        assert store.claim("w2", now=TTL) is None  # reaped, backing off
+        shard = store.get(job.id).shards[0]
+        cfg = store.config
+        assert shard.not_before == pytest.approx(TTL + backoff_delay_s(
+            cfg.backoff_base_s, cfg.backoff_factor, cfg.backoff_max_s,
+            cfg.backoff_jitter, cfg.backoff_seed, shard.index, 0,
+        ))
 
 
 # ----------------------------------------------------------------------
