@@ -119,7 +119,8 @@ class AtpgEngine:
 
         ``context`` (a :class:`~repro.context.RunContext`) is scoped
         over every :meth:`run` call, so one session object configures
-        telemetry and the kernel cache for this engine; the default inherits the ambient configuration."""
+        telemetry and the kernel cache for this engine; the default
+        inherits the ambient configuration."""
         if protocol == "los" and scan is None:
             raise AtpgError("LOS ATPG needs the scan configuration")
         self.netlist = netlist

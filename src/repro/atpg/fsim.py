@@ -105,7 +105,8 @@ class FaultSimulator:
     ``kernel_cache`` controls the persistent compiled-kernel cache
     (:mod:`repro.perf.kernel_cache`): by default the ambient cache is
     used, so cone kernels compiled once for a netlist are warm-loaded
-    from disk by every later simulator for that netlist.  Pass ``None`` to disable caching for this instance.
+    from disk by every later simulator for that netlist.  Pass ``None``
+    to disable caching for this instance.
     """
 
     def __init__(

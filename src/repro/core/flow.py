@@ -263,9 +263,8 @@ class NoiseAwarePatternGenerator:
         to an uninterrupted run.  (The store's fingerprint must cover
         the flow configuration — :func:`run_noise_tolerant_flow` wires
         that up.)  *run_report* collects per-stage records;
-        *stop_after_stage* ends
-        the run after that many leading stages (a deliberate
-        interruption, used to exercise resume paths).
+        *stop_after_stage* ends the run after that many leading stages
+        (a deliberate interruption, used to exercise resume paths).
         """
         tel = current_telemetry()
         combined = PatternSet(self.domain, fill=self.fill)

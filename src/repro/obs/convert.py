@@ -89,8 +89,7 @@ def nesting_errors(
 
     Checks that every span naming a parent (a) references a recorded
     span and (b) fits inside the parent's wall-clock interval, within
-    *tolerance_s* (merged traces may carry another process's clock
-    reads; same host, so skew is bounded but not zero).
+    *tolerance_s* of clock skew.
     """
     by_id: Dict[str, TraceEvent] = {
         str(e["span_id"]): e for e in events if e.get("span_id")

@@ -13,7 +13,7 @@ Labels are plain keyword arguments::
 
     registry.counter("scap.violations").inc(3, block="B5")
     registry.gauge("flow.stage_index").set(2)
-    registry.histogram("http.request_s").observe(0.125)
+    registry.histogram("http.request_latency_s").observe(0.125)
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ Throughput: :meth:`ScapCalculator.profile_patterns` grades a whole
 pattern set at once — the launch-to-capture logic simulation runs
 bit-parallel over machine-word lanes (so its cost is amortised across
 the lane instead of paid twice per pattern), and a digest-keyed profile
-cache short-circuits launch states that were already simulated.  All paths are bit-exact with per-pattern
-:meth:`profile_pattern`.
+cache short-circuits launch states that were already simulated.  Both
+are bit-exact with per-pattern :meth:`profile_pattern`.
 """
 
 from __future__ import annotations

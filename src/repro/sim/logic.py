@@ -62,7 +62,7 @@ class LogicSim:
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
         netlist.freeze()
-        order, _levels = levelize(netlist)
+        order, _ = levelize(netlist)
         # Pre-resolve function pointers and connectivity into flat lists.
         self._fns = [CELL_FUNCTIONS[netlist.gates[gi].kind] for gi in order]
         self._ins = [netlist.gates[gi].inputs for gi in order]
