@@ -17,8 +17,10 @@ model instead:
 
 The model deliberately over-charges (it prices every call at the
 slowest facade method and ignores that the calls are already inside
-``T``), so a pass here is conservative.  Emits machine-readable
-``BENCH_obs.json`` at the repo root.
+``T``), so a pass here is conservative.  The result is merged into
+``BENCH_obs.json`` at the repo root under its scale
+(``REPRO_BENCH_SCALE``, default ``small``), so a ``tiny`` run leaves
+the other scales' entries alone.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ import os
 import time
 from pathlib import Path
 
-from repro import RunContext
 from repro.core import run_noise_tolerant_flow
-from repro.obs import NullTelemetry
+from repro.obs import NullTelemetry, use_telemetry
 from repro.soc import build_turbo_eagle
 
 OVERHEAD_BUDGET_PCT = 5.0
@@ -88,9 +89,8 @@ def test_disabled_telemetry_overhead_under_budget():
     assert baseline is not None
 
     counter = CountingTelemetry()
-    counted, _ = run_noise_tolerant_flow(
-        design, seed=1, context=RunContext(telemetry=counter)
-    )
+    with use_telemetry(counter):
+        counted, _ = run_noise_tolerant_flow(design, seed=1)
 
     # Telemetry only observes: the flow's output must not change.
     assert counted is not None
@@ -104,7 +104,6 @@ def test_disabled_telemetry_overhead_under_budget():
     overhead_pct = 100.0 * charged_s / baseline_s
 
     payload = {
-        "scale": scale,
         "baseline_flow_s": round(baseline_s, 6),
         "instrumentation_calls": counter.calls,
         "null_call_ns": round(call_cost_s * 1e9, 2),
@@ -113,7 +112,9 @@ def test_disabled_telemetry_overhead_under_budget():
         "budget_pct": OVERHEAD_BUDGET_PCT,
         "bit_identical": True,
     }
-    _OUT_PATH.write_text(json.dumps(payload, indent=1) + "\n")
+    data = json.loads(_OUT_PATH.read_text()) if _OUT_PATH.exists() else {}
+    data[scale] = payload
+    _OUT_PATH.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
     print()
     print(

@@ -36,9 +36,9 @@ import argparse
 import os
 import sys
 
-from . import CaseStudy, RunContext
+from . import CaseStudy
 from .drc import FAIL_ON_CHOICES
-from .obs import LOG_LEVELS, setup_logging
+from .obs import LOG_LEVELS, setup_logging, use_telemetry
 from .reporting import format_table
 
 
@@ -227,20 +227,20 @@ def cmd_flow(args) -> int:
             return 2
     design = build_turbo_eagle(scale=args.scale, seed=args.seed)
     telemetry = _flow_telemetry(args)
-    result, report = run_noise_tolerant_flow(
-        design,
-        checkpoint_dir=args.checkpoint,
-        resume=args.resume,
-        max_patterns=args.max_patterns,
-        stop_after_stage=args.stop_after,
-        report_path=args.report,
-        context=RunContext(telemetry=telemetry),
-        schedule_budget_mw=args.schedule_budget,
-        schedule_strategy=args.schedule_strategy,
-        timing_prescreen=args.timing_prescreen,
-        timing_max_patterns=args.timing_max_patterns,
-        seed=1,
-    )
+    with use_telemetry(telemetry):
+        result, report = run_noise_tolerant_flow(
+            design,
+            checkpoint_dir=args.checkpoint,
+            resume=args.resume,
+            max_patterns=args.max_patterns,
+            stop_after_stage=args.stop_after,
+            report_path=args.report,
+            schedule_budget_mw=args.schedule_budget,
+            schedule_strategy=args.schedule_strategy,
+            timing_prescreen=args.timing_prescreen,
+            timing_max_patterns=args.timing_max_patterns,
+            seed=1,
+        )
     if report.timing is not None:
         if "error" in report.timing:
             print(f"timing: {report.timing['error']}", file=sys.stderr)

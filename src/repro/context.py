@@ -1,10 +1,10 @@
-"""One session object for the run-wide configuration knobs.
+"""One session object for the run-wide configuration.
 
-Two ambient scopes configure a run —
-:func:`repro.obs.use_telemetry` and
-:func:`repro.perf.kernel_cache.use_kernel_cache`.  :class:`RunContext`
-bundles them into one immutable session object, and
-:func:`use_run_context` scopes them together::
+A run is configured by two ambient values: the telemetry facade every
+instrumented layer reports to (:mod:`repro.obs`) and the compiled-kernel
+cache the fault simulators load from (:mod:`repro.perf.kernel_cache`).
+:class:`RunContext` holds both as one frozen value, and a single
+:class:`contextvars.ContextVar` holds the session in scope::
 
     ctx = RunContext(
         telemetry=Telemetry(tracing=True),
@@ -12,92 +12,80 @@ bundles them into one immutable session object, and
     )
     with use_run_context(ctx):
         run_noise_tolerant_flow(design)        # both apply
-    run_noise_tolerant_flow(design, context=ctx)  # same thing
 
-Every field defaults to "inherit the ambient value", so partial
-contexts compose: ``RunContext(kernel_cache=...)`` inside a
-``use_telemetry(...)`` block keeps the outer telemetry.  For the
-kernel cache — whose ambient value is itself optional — the sentinel
-:data:`INHERIT_CACHE` distinguishes "inherit" from ``None`` ("disable
-caching for this scope").
+:func:`repro.obs.use_telemetry` and
+:func:`repro.perf.kernel_cache.use_kernel_cache` replace one field of
+the current session for a block; nest them for a partial override.
 
-The individual context managers remain fully supported; a
-:class:`RunContext` is exactly equivalent to nesting them, which is
-what :func:`use_run_context` does.
+The session is per thread and per asyncio task.  A new thread starts
+from the process default — the null facade plus the
+``REPRO_KERNEL_CACHE``-resolved :class:`~repro.perf.kernel_cache.KernelCache`
+(``None`` when caching is off), resolved once per process — and every
+asyncio task, ``asyncio.to_thread`` call included, runs on a copy of the
+session current when it was created.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import ContextManager, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .obs import AnyTelemetry, current_telemetry, use_telemetry
-from .perf.kernel_cache import (
-    KernelCache,
-    current_kernel_cache,
-    use_kernel_cache,
-)
-
-
-class _InheritCache:
-    """Sentinel type: leave the ambient kernel cache alone."""
-
-    def __repr__(self) -> str:
-        return "INHERIT_CACHE"
-
-
-#: Default for :attr:`RunContext.kernel_cache`: inherit the ambient
-#: cache.  Pass ``None`` to disable caching inside the scope.
-INHERIT_CACHE = _InheritCache()
+if TYPE_CHECKING:
+    from .obs.telemetry import AnyTelemetry
+    from .perf.kernel_cache import KernelCache
 
 
 @dataclass(frozen=True)
 class RunContext:
-    """Immutable bundle of the session-wide configuration knobs.
+    """The complete, immutable session configuration of a run."""
 
-    ``None`` (or :data:`INHERIT_CACHE` for the cache) means "inherit
-    whatever is ambient", so contexts can be partial and nest.
-    """
+    #: Telemetry facade every instrumented layer reports to.
+    telemetry: AnyTelemetry
+    #: Compiled-kernel cache simulators load from (``None``: caching off).
+    kernel_cache: Optional[KernelCache]
 
-    #: Telemetry facade scoped over the run (``None`` = inherit the
-    #: ambient facade; pass ``repro.obs.NULL_TELEMETRY`` to force off).
-    telemetry: Optional[AnyTelemetry] = None
-    #: Compiled-kernel cache (``None`` disables caching in the scope).
-    kernel_cache: Union[KernelCache, None, _InheritCache] = INHERIT_CACHE
+
+_SESSION: ContextVar[RunContext] = ContextVar("repro_session")
+
+#: The process default session, resolved on first use.
+_default: Optional[RunContext] = None
+_default_lock = threading.Lock()
+
+
+def _process_default() -> RunContext:
+    global _default
+    if _default is None:
+        with _default_lock:
+            if _default is None:
+                # Deferred: both modules import this one.
+                from .obs.telemetry import NULL_TELEMETRY
+                from .perf.kernel_cache import KernelCache, cache_enabled
+
+                _default = RunContext(
+                    telemetry=NULL_TELEMETRY,
+                    kernel_cache=KernelCache() if cache_enabled() else None,
+                )
+    return _default
 
 
 def current_run_context() -> RunContext:
-    """Snapshot of the ambient configuration as a :class:`RunContext`.
+    """The session in scope (the process default outside any scope).
 
-    Re-scoping the snapshot reproduces the current environment — handy
-    for shipping the session configuration across an API boundary.
+    Re-scoping the snapshot with :func:`use_run_context` reproduces the
+    current configuration, e.g. in another thread.
     """
-    return RunContext(
-        telemetry=current_telemetry(),
-        kernel_cache=current_kernel_cache(),
-    )
+    ctx = _SESSION.get(None)
+    return ctx if ctx is not None else _process_default()
 
 
 @contextmanager
-def use_run_context(
-    context: Optional[RunContext],
-) -> Iterator[RunContext]:
-    """Scope every non-inherit field of *context* ambiently.
-
-    Exactly equivalent to nesting the individual context managers;
-    ``None`` (or an all-default context) scopes nothing and is free.
-    """
-    ctx = context if context is not None else RunContext()
-    telemetry_scope: ContextManager[object] = (
-        nullcontext()
-        if ctx.telemetry is None
-        else use_telemetry(ctx.telemetry)
-    )
-    cache_scope: ContextManager[object] = (
-        nullcontext()
-        if isinstance(ctx.kernel_cache, _InheritCache)
-        else use_kernel_cache(ctx.kernel_cache)
-    )
-    with telemetry_scope, cache_scope:
-        yield ctx
+def use_run_context(context: RunContext) -> Iterator[RunContext]:
+    """Make *context* the whole session for the block."""
+    token = _SESSION.set(context)
+    try:
+        yield context
+    finally:
+        _SESSION.reset(token)

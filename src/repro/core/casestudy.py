@@ -12,11 +12,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from contextlib import contextmanager
-
 from ..atpg.faults import build_fault_universe
 from ..config import ElectricalEnv
-from ..context import RunContext, use_run_context
 from ..errors import ConfigError
 from ..obs import current_telemetry
 from ..pgrid.dynamic_ir import DynamicIrResult, dynamic_ir_for_pattern
@@ -47,7 +44,6 @@ class CaseStudy:
         target_statistical_drop_v: float = 0.15,
         checkpoint_dir: Optional[str] = None,
         drc: bool = True,
-        context: Optional[RunContext] = None,
     ):
         """``checkpoint_dir`` makes the heavy stages durable: flows,
         per-stage ATPG results and SCAP validations persist there (via
@@ -63,11 +59,10 @@ class CaseStudy:
         unwaived ERROR violations (it never should — the gate exists so
         modified generators and hand-edited netlists fail fast).
 
-        ``context`` (a :class:`~repro.context.RunContext`) is scoped
-        over every heavy stage (flows, SCAP validation, scheduling), so
-        one session object configures telemetry and the kernel cache
-        for the whole case study; inherit-valued fields leave the
-        ambient configuration alone.
+        Every stage runs under the ambient session (see
+        :mod:`repro.context`): scope telemetry or a kernel cache around
+        the calls with :func:`~repro.obs.use_telemetry` /
+        :func:`~repro.perf.kernel_cache.use_kernel_cache`.
         """
         self.design = build_turbo_eagle(scale, seed)
         self.domain = self.design.dominant_domain()
@@ -90,8 +85,6 @@ class CaseStudy:
                 target_statistical_drop_v=target_statistical_drop_v,
             )
             self._checkpoint = CheckpointStore(checkpoint_dir, fingerprint)
-        self.context = context if context is not None else RunContext()
-        self.telemetry = self.context.telemetry
         self.drc_enabled = drc
         self._drc_gate_report = None
         self._model: Optional[GridModel] = None
@@ -165,17 +158,6 @@ class CaseStudy:
             key += f"_max{max_patterns}"
         return key
 
-    @contextmanager
-    def _tel_scope(self):
-        """Scope this study's session context over a heavy stage.
-
-        Inherit-valued fields (the default) leave the ambient
-        configuration alone, so a facade or policy installed by the
-        caller still applies; yields the effective telemetry facade.
-        """
-        with use_run_context(self.context):
-            yield current_telemetry()
-
     def conventional(self, max_patterns: Optional[int] = None) -> FlowResult:
         """The random-fill baseline flow (cached + checkpointed)."""
         if "conventional" not in self._flows:
@@ -194,9 +176,10 @@ class CaseStudy:
                     seed=self.atpg_seed,
                     backtrack_limit=self.backtrack_limit,
                 )
-                with self._tel_scope() as tel:
-                    with tel.span("flow.run", flow="conventional"):
-                        result = flow.run(max_patterns=max_patterns)
+                with current_telemetry().span(
+                    "flow.run", flow="conventional"
+                ):
+                    result = flow.run(max_patterns=max_patterns)
                 if self._checkpoint is not None:
                     self._checkpoint.save(
                         key, result, meta={"patterns": result.n_patterns}
@@ -229,12 +212,13 @@ class CaseStudy:
                 stage_checkpoint = (
                     self._checkpoint if max_patterns is None else None
                 )
-                with self._tel_scope() as tel:
-                    with tel.span("flow.run", flow="noise_aware_staged"):
-                        result = flow.run(
-                            max_patterns=max_patterns,
-                            checkpoint=stage_checkpoint,
-                        )
+                with current_telemetry().span(
+                    "flow.run", flow="noise_aware_staged"
+                ):
+                    result = flow.run(
+                        max_patterns=max_patterns,
+                        checkpoint=stage_checkpoint,
+                    )
                 if self._checkpoint is not None:
                     self._checkpoint.save(
                         key, result, meta={"patterns": result.n_patterns}
@@ -259,13 +243,12 @@ class CaseStudy:
             if cached is not None:
                 self._validations[flow_name] = cached
             else:
-                with self._tel_scope():
-                    report = validate_pattern_set(
-                        self.calculator, flow.pattern_set,
-                        self.thresholds_mw,
-                        checkpoint=self._checkpoint,
-                        checkpoint_key=key,
-                    )
+                report = validate_pattern_set(
+                    self.calculator, flow.pattern_set,
+                    self.thresholds_mw,
+                    checkpoint=self._checkpoint,
+                    checkpoint_key=key,
+                )
                 if self._checkpoint is not None:
                     self._checkpoint.save(
                         key, report,
@@ -463,27 +446,26 @@ class CaseStudy:
             if flow_name == "conventional"
             else self.staged()
         )
-        with self._tel_scope() as tel:
-            with tel.span("flow.schedule", strategy=strategy):
-                bound = StaticScapBound(self.design, self.domain)
-                powers = bound.test_power_bounds_mw()
-                specs = specs_from_flow(self.design, flow, powers)
-                budget = power_budget_mw
-                if budget is None:
-                    floor = max(s.min_power_mw for s in specs)
-                    budget = max(
-                        0.6 * sum(s.min_power_mw for s in specs),
-                        floor * 1.01,
-                    )
-                width = (
-                    tam_width
-                    if tam_width is not None
-                    else self.design.tam_width
+        with current_telemetry().span("flow.schedule", strategy=strategy):
+            bound = StaticScapBound(self.design, self.domain)
+            powers = bound.test_power_bounds_mw()
+            specs = specs_from_flow(self.design, flow, powers)
+            budget = power_budget_mw
+            if budget is None:
+                floor = max(s.min_power_mw for s in specs)
+                budget = max(
+                    0.6 * sum(s.min_power_mw for s in specs),
+                    floor * 1.01,
                 )
-                schedule = get_scheduler(strategy).schedule(
-                    specs, ScheduleBudget(power_mw=budget, tam_width=width)
-                )
-                schedule.validate()
+            width = (
+                tam_width
+                if tam_width is not None
+                else self.design.tam_width
+            )
+            schedule = get_scheduler(strategy).schedule(
+                specs, ScheduleBudget(power_mw=budget, tam_width=width)
+            )
+            schedule.validate()
         return schedule
 
     # ------------------------------------------------------------------

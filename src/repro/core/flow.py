@@ -17,7 +17,6 @@ pattern-count increase (Figure 4).
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -28,9 +27,8 @@ from ..atpg.engine import AtpgEngine, AtpgResult
 from ..atpg.faults import TransitionFault, build_fault_universe, collapse_faults
 from ..atpg.fsim import FaultSimulator, first_detection_index
 from ..atpg.patterns import PatternSet
-from ..context import RunContext, use_run_context
 from ..errors import ConfigError, DrcError, PowerGridError
-from ..obs import current_telemetry, use_telemetry
+from ..obs import current_telemetry
 from ..reporting.checkpoint import CheckpointStore, config_fingerprint
 from ..reporting.runreport import (
     RUN_COMPLETED,
@@ -468,7 +466,6 @@ def run_noise_tolerant_flow(
     report_path: Optional[str] = None,
     drc: bool = True,
     drc_waivers=None,
-    context: Optional[RunContext] = None,
     schedule_budget_mw: Optional[float] = None,
     schedule_strategy: str = "binpack",
     schedule_tam_width: Optional[int] = None,
@@ -500,11 +497,12 @@ def run_noise_tolerant_flow(
     writing the report): generating patterns on a netlist that fails
     its design rules would waste every downstream stage.
 
-    *context* (a :class:`~repro.context.RunContext`) scopes the whole
-    session configuration — telemetry and kernel cache — over the run.
-    ``None`` telemetry runs with the null facade: no signals,
-    bit-identical results; the telemetry snapshot lands in
-    ``report.telemetry``.
+    The run reports to the session's telemetry and loads kernels from
+    its kernel cache (see :mod:`repro.context`); scope them with
+    :func:`~repro.obs.use_telemetry` /
+    :func:`~repro.perf.kernel_cache.use_kernel_cache`.  Telemetry only
+    observes — results are bit-identical with the null facade — and
+    its snapshot lands in ``report.telemetry``.
 
     With *schedule_budget_mw* set, a successful generation run is
     followed by a SOC test-scheduling stage: per-block test powers come
@@ -528,172 +526,167 @@ def run_noise_tolerant_flow(
     check — lands in ``report.timing``.  *timing_max_patterns* caps how
     many patterns the stage screens.
     """
-    ctx = context if context is not None else RunContext()
-    # The kernel cache scopes ambiently; telemetry keeps the
-    # historical contract that ``None`` *forces* the null facade (it
-    # does not inherit), so it is scoped explicitly.
-    with use_run_context(dataclasses.replace(ctx, telemetry=None)), \
-            use_telemetry(ctx.telemetry) as tel:
-        generator = NoiseAwarePatternGenerator(
-            design, domain, **generator_kwargs
-        )
-        report = RunReport(
-            flow="noise_aware_staged", checkpoint_dir=checkpoint_dir
-        )
+    tel = current_telemetry()
+    generator = NoiseAwarePatternGenerator(
+        design, domain, **generator_kwargs
+    )
+    report = RunReport(
+        flow="noise_aware_staged", checkpoint_dir=checkpoint_dir
+    )
 
-        def finalize() -> None:
-            report.telemetry = tel.snapshot()
+    def finalize() -> None:
+        report.telemetry = tel.snapshot()
 
-        with tel.span(
-            "flow.run", flow="noise_aware_staged", design=design.name
-        ):
-            tel.log.info(
-                "flow start: design=%s domain=%s", design.name,
-                generator.domain,
+    with tel.span(
+        "flow.run", flow="noise_aware_staged", design=design.name
+    ):
+        tel.log.info(
+            "flow start: design=%s domain=%s", design.name,
+            generator.domain,
+        )
+        if drc:
+            try:
+                run_drc_gate(
+                    design, waivers=drc_waivers, run_report=report
+                )
+            except DrcError:
+                report.status = RUN_FAILED
+                report.error = "DrcError: unwaived ERROR violations"
+                finalize()
+                if report_path is not None:
+                    report.save(report_path)
+                raise
+        checkpoint = None
+        if checkpoint_dir is not None:
+            netlist = design.netlist
+            fingerprint = config_fingerprint(
+                design=(
+                    netlist.name, netlist.n_nets, netlist.n_gates,
+                    netlist.n_flops,
+                ),
+                domain=generator.domain,
+                stage_plan=tuple(generator.stage_plan),
+                fill=generator.fill,
+                isolate=generator.isolate_untargeted,
+                power_critical=generator.power_critical_blocks,
+                max_patterns=max_patterns,
+                engine_seed=generator.engine.rng.bit_generator.state[
+                    "state"
+                ],
             )
-            if drc:
-                try:
-                    run_drc_gate(
-                        design, waivers=drc_waivers, run_report=report
+            checkpoint = CheckpointStore(checkpoint_dir, fingerprint)
+            if not resume:
+                checkpoint.clear()
+
+        flow_result: Optional[FlowResult] = None
+        try:
+            flow_result = generator.run(
+                max_patterns=max_patterns,
+                checkpoint=checkpoint,
+                run_report=report,
+                stop_after_stage=stop_after_stage,
+            )
+            if report.status != RUN_PARTIAL:
+                report.status = RUN_COMPLETED
+        except Exception as exc:
+            report.status = (
+                RUN_PARTIAL if report.completed_stages() else RUN_FAILED
+            )
+            report.error = repr(exc)
+            tel.log.error("flow %s: %r", report.status, exc)
+            finalize()
+            if report_path is not None:
+                report.save(report_path)
+            if strict:
+                raise
+            return None, report
+
+        if schedule_budget_mw is not None:
+            stage_started = time.time()
+            try:
+                with tel.span(
+                    "flow.schedule", strategy=schedule_strategy
+                ):
+                    schedule = _schedule_from_flow(
+                        design, generator.domain, flow_result,
+                        budget_mw=schedule_budget_mw,
+                        strategy=schedule_strategy,
+                        tam_width=schedule_tam_width,
                     )
-                except DrcError:
-                    report.status = RUN_FAILED
-                    report.error = "DrcError: unwaived ERROR violations"
+            except ConfigError as exc:
+                report.schedule = {
+                    "error": str(exc),
+                    "strategy": schedule_strategy,
+                    "power_budget_mw": schedule_budget_mw,
+                }
+                report.record_stage(
+                    "schedule", "failed", detail={"error": repr(exc)}
+                )
+                report.status = RUN_PARTIAL
+                tel.log.error("schedule stage failed: %s", exc)
+                if strict:
                     finalize()
                     if report_path is not None:
                         report.save(report_path)
                     raise
-            checkpoint = None
-            if checkpoint_dir is not None:
-                netlist = design.netlist
-                fingerprint = config_fingerprint(
-                    design=(
-                        netlist.name, netlist.n_nets, netlist.n_gates,
-                        netlist.n_flops,
-                    ),
-                    domain=generator.domain,
-                    stage_plan=tuple(generator.stage_plan),
-                    fill=generator.fill,
-                    isolate=generator.isolate_untargeted,
-                    power_critical=generator.power_critical_blocks,
-                    max_patterns=max_patterns,
-                    engine_seed=generator.engine.rng.bit_generator.state[
-                        "state"
-                    ],
+            else:
+                report.schedule = schedule.summary()
+                report.record_stage(
+                    "schedule", "completed",
+                    detail={
+                        "strategy": schedule.strategy,
+                        "makespan_us": schedule.makespan_us,
+                        "elapsed_s": round(
+                            time.time() - stage_started, 6
+                        ),
+                    },
                 )
-                checkpoint = CheckpointStore(checkpoint_dir, fingerprint)
-                if not resume:
-                    checkpoint.clear()
 
-            flow_result: Optional[FlowResult] = None
+        if timing_prescreen:
+            stage_started = time.time()
             try:
-                flow_result = generator.run(
-                    max_patterns=max_patterns,
-                    checkpoint=checkpoint,
-                    run_report=report,
-                    stop_after_stage=stop_after_stage,
+                with tel.span("flow.timing", domain=generator.domain):
+                    timing = _timing_from_flow(
+                        design, generator.domain, flow_result,
+                        max_patterns=timing_max_patterns,
+                    )
+            except (ConfigError, PowerGridError) as exc:
+                report.timing = {"error": str(exc)}
+                report.record_stage(
+                    "timing", "failed", detail={"error": repr(exc)}
                 )
-                if report.status != RUN_PARTIAL:
-                    report.status = RUN_COMPLETED
-            except Exception as exc:
-                report.status = (
-                    RUN_PARTIAL if report.completed_stages() else RUN_FAILED
-                )
-                report.error = repr(exc)
-                tel.log.error("flow %s: %r", report.status, exc)
-                finalize()
-                if report_path is not None:
-                    report.save(report_path)
+                report.status = RUN_PARTIAL
+                tel.log.error("timing stage failed: %s", exc)
                 if strict:
+                    finalize()
+                    if report_path is not None:
+                        report.save(report_path)
                     raise
-                return None, report
-
-            if schedule_budget_mw is not None:
-                stage_started = time.time()
-                try:
-                    with tel.span(
-                        "flow.schedule", strategy=schedule_strategy
-                    ):
-                        schedule = _schedule_from_flow(
-                            design, generator.domain, flow_result,
-                            budget_mw=schedule_budget_mw,
-                            strategy=schedule_strategy,
-                            tam_width=schedule_tam_width,
-                        )
-                except ConfigError as exc:
-                    report.schedule = {
-                        "error": str(exc),
-                        "strategy": schedule_strategy,
-                        "power_budget_mw": schedule_budget_mw,
-                    }
-                    report.record_stage(
-                        "schedule", "failed", detail={"error": repr(exc)}
-                    )
-                    report.status = RUN_PARTIAL
-                    tel.log.error("schedule stage failed: %s", exc)
-                    if strict:
-                        finalize()
-                        if report_path is not None:
-                            report.save(report_path)
-                        raise
-                else:
-                    report.schedule = schedule.summary()
-                    report.record_stage(
-                        "schedule", "completed",
-                        detail={
-                            "strategy": schedule.strategy,
-                            "makespan_us": schedule.makespan_us,
-                            "elapsed_s": round(
-                                time.time() - stage_started, 6
-                            ),
-                        },
-                    )
-
-            if timing_prescreen:
-                stage_started = time.time()
-                try:
-                    with tel.span("flow.timing", domain=generator.domain):
-                        timing = _timing_from_flow(
-                            design, generator.domain, flow_result,
-                            max_patterns=timing_max_patterns,
-                        )
-                except (ConfigError, PowerGridError) as exc:
-                    report.timing = {"error": str(exc)}
-                    report.record_stage(
-                        "timing", "failed", detail={"error": repr(exc)}
-                    )
-                    report.status = RUN_PARTIAL
-                    tel.log.error("timing stage failed: %s", exc)
-                    if strict:
-                        finalize()
-                        if report_path is not None:
-                            report.save(report_path)
-                        raise
-                else:
-                    report.timing = timing.to_dict()
-                    report.record_stage(
-                        "timing", "completed",
-                        detail={
-                            "patterns": timing.n_patterns,
-                            "pruned_endpoint_fraction": round(
-                                timing.pruned_endpoint_fraction, 6
-                            ),
-                            "at_risk": timing.endpoint_counts["at_risk"],
-                            "soundness_violations":
-                                timing.soundness_violations,
-                            "elapsed_s": round(
-                                time.time() - stage_started, 6
-                            ),
-                        },
-                    )
-        tel.log.info(
-            "flow %s: %d pattern(s)", report.status,
-            flow_result.n_patterns if flow_result is not None else 0,
-        )
-        finalize()
-        if report_path is not None:
-            report.save(report_path)
-        return flow_result, report
+            else:
+                report.timing = timing.to_dict()
+                report.record_stage(
+                    "timing", "completed",
+                    detail={
+                        "patterns": timing.n_patterns,
+                        "pruned_endpoint_fraction": round(
+                            timing.pruned_endpoint_fraction, 6
+                        ),
+                        "at_risk": timing.endpoint_counts["at_risk"],
+                        "soundness_violations":
+                            timing.soundness_violations,
+                        "elapsed_s": round(
+                            time.time() - stage_started, 6
+                        ),
+                    },
+                )
+    tel.log.info(
+        "flow %s: %d pattern(s)", report.status,
+        flow_result.n_patterns if flow_result is not None else 0,
+    )
+    finalize()
+    if report_path is not None:
+        report.save(report_path)
+    return flow_result, report
 
 
 def _schedule_from_flow(

@@ -20,9 +20,10 @@ the cost of one method call, flow results are bit-identical either
 way, and ``benchmarks/bench_obs_overhead.py`` enforces the <5%
 disabled-path budget.  Enable with::
 
-    from repro.obs import Telemetry
+    from repro.obs import Telemetry, use_telemetry
     tel = Telemetry(profile=True)
-    result, report = run_noise_tolerant_flow(design, telemetry=tel)
+    with use_telemetry(tel):
+        result, report = run_noise_tolerant_flow(design)
     tel.save_trace_jsonl("trace.jsonl")
     tel.save_metrics_prometheus("metrics.prom")
 

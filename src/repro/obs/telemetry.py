@@ -15,12 +15,14 @@ point (<2% end to end; ``benchmarks/bench_obs_overhead.py`` holds the
 line).  Flow results are bit-identical either way — telemetry only
 observes.
 
-The facade travels two ways: explicitly (``run_noise_tolerant_flow(...,
-context=RunContext(telemetry=tel))``) and ambiently via :func:`use_telemetry` /
-:func:`current_telemetry`, which is how deep layers (fault simulation,
-SCAP grading, DRC rules, the job service) see the run's
-telemetry without threading a parameter through every signature —
-the same pattern as :func:`repro.perf.kernel_cache.use_kernel_cache`.
+The facade travels one way: ambiently, as the ``telemetry`` field of
+the :class:`~repro.context.RunContext` session.  :func:`use_telemetry`
+scopes a facade over a block and :func:`current_telemetry` reads it,
+which is how every layer (the flow, ATPG, fault simulation, SCAP
+grading, DRC rules, the job service) sees the run's telemetry without
+threading a parameter through every signature — the same pattern as
+:func:`repro.perf.kernel_cache.use_kernel_cache`.  The scope is per
+thread and per asyncio task (see :mod:`repro.context`).
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ import os
 import time
 import uuid
 from contextlib import contextmanager
+from dataclasses import replace
 from types import TracebackType
-from typing import Any, Dict, Iterator, List, Optional, Type, Union
+from typing import Any, Dict, Iterator, Optional, Type, Union
 
+from ..context import current_run_context, use_run_context
 from .logs import RunLoggerAdapter, run_logger
 from .metrics import MetricsRegistry
 from .profiler import StageProfiler
@@ -190,19 +194,17 @@ class Telemetry:
 #: What instrumented call sites accept / ``current_telemetry`` returns.
 AnyTelemetry = Union[Telemetry, NullTelemetry]
 
-_STACK: List[AnyTelemetry] = []
-
 
 def current_telemetry() -> AnyTelemetry:
-    """The innermost telemetry in scope (the null facade by default)."""
-    return _STACK[-1] if _STACK else NULL_TELEMETRY
+    """The telemetry of the session in scope (the null facade by default)."""
+    return current_run_context().telemetry
 
 
 @contextmanager
 def use_telemetry(
     telemetry: Optional[AnyTelemetry],
 ) -> Iterator[AnyTelemetry]:
-    """Scope *telemetry* as the ambient facade for the block.
+    """Scope *telemetry* as the session's facade for the block.
 
     ``None`` scopes the null facade — handy for forcing telemetry off
     inside an instrumented region.
@@ -210,8 +212,7 @@ def use_telemetry(
     scoped: AnyTelemetry = (
         telemetry if telemetry is not None else NULL_TELEMETRY
     )
-    _STACK.append(scoped)
-    try:
+    with use_run_context(
+        replace(current_run_context(), telemetry=scoped)
+    ):
         yield scoped
-    finally:
-        _STACK.pop()

@@ -26,8 +26,9 @@ racing on a cold cache at worst overwrite each other with identical
 content.  The directory is bounded: past ``max_entries`` files the
 oldest (by mtime) are evicted.
 
-The cache is ambient by default (like
-:func:`repro.obs.use_telemetry`): simulators pick up
+The cache is ambient by default — the ``kernel_cache`` field of the
+:class:`~repro.context.RunContext` session, like
+:func:`repro.obs.use_telemetry` for telemetry: simulators pick up
 :func:`current_kernel_cache` unless handed an explicit cache or
 ``None``.  ``REPRO_KERNEL_CACHE=0`` disables it process-wide;
 ``REPRO_KERNEL_CACHE_DIR`` moves the default root (otherwise
@@ -42,10 +43,12 @@ import marshal
 import os
 import tempfile
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from types import CodeType
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..context import current_run_context, use_run_context
 from ..obs import current_telemetry
 
 #: Bump when the kernel code generator changes shape: a schema mismatch
@@ -258,30 +261,19 @@ class KernelCache:
 
 
 # ----------------------------------------------------------------------
-# ambient default (same pattern as repro.obs.use_telemetry)
+# ambient default: the kernel_cache field of the RunContext session
 # ----------------------------------------------------------------------
-_UNSET = object()
-_cache_stack: List[Optional[KernelCache]] = [_UNSET]  # type: ignore[list-item]
-
-
 def current_kernel_cache() -> Optional[KernelCache]:
-    """The ambient cache simulators use by default (None = disabled)."""
-    top = _cache_stack[-1]
-    if top is _UNSET:
-        top = KernelCache() if cache_enabled() else None
-        _cache_stack[-1] = top
-    return top
+    """The cache simulators use by default (None = disabled)."""
+    return current_run_context().kernel_cache
 
 
 @contextmanager
 def use_kernel_cache(cache: Optional[KernelCache]) -> Iterator[Optional[KernelCache]]:
-    """Scope the ambient kernel cache (``None`` disables caching)::
+    """Scope the session's kernel cache (``None`` disables caching)::
 
         with use_kernel_cache(KernelCache(tmp_path)):
             FaultSimulator(netlist, domain)  # compiles into tmp_path
     """
-    _cache_stack.append(cache)
-    try:
+    with use_run_context(replace(current_run_context(), kernel_cache=cache)):
         yield cache
-    finally:
-        _cache_stack.pop()

@@ -50,8 +50,6 @@ class RunReport:
     #: Per-attempt failure log (the job service fills it from its
     #: shard records: time, worker, attempt, kind, error, stage).
     failures: List[Dict[str, Any]] = field(default_factory=list)
-    #: Retries consumed per stage name.
-    retries: Dict[str, int] = field(default_factory=dict)
     checkpoint_dir: Optional[str] = None
     #: Repr of the exception that ended a partial/failed run.
     error: Optional[str] = None
@@ -89,10 +87,6 @@ class RunReport:
     def pending_stages(self) -> List[str]:
         return [s.name for s in self.stages if s.status == "pending"]
 
-    @property
-    def total_retries(self) -> int:
-        return sum(self.retries.values())
-
     # ------------------------------------------------------------------
     def record_stage(
         self,
@@ -121,8 +115,6 @@ class RunReport:
             "resumed_stages": self.resumed_stages(),
             "pending_stages": self.pending_stages(),
             "failures": list(self.failures),
-            "retries": dict(self.retries),
-            "total_retries": self.total_retries,
             "checkpoint_dir": self.checkpoint_dir,
             "error": self.error,
             "drc": self.drc,
@@ -147,7 +139,8 @@ class RunReport:
 
         Derived keys (``completed_stages`` …) are recomputed, not
         trusted; unknown keys are ignored so newer writers stay
-        loadable by older readers and vice versa.
+        loadable by older readers and vice versa (reports written
+        before the ``retries`` field was dropped still load).
         """
         report = cls(
             flow=str(data.get("flow", "unknown")),
@@ -169,9 +162,6 @@ class RunReport:
                 )
             )
         report.failures = [dict(f) for f in data.get("failures", [])]
-        report.retries = {
-            str(k): int(v) for k, v in (data.get("retries") or {}).items()
-        }
         return report
 
     @classmethod

@@ -23,9 +23,9 @@ Three design rules keep the layer honest:
 
 * **The event loop never blocks on the store.**  Every ``JobStore``
   call — all of which take a ``flock`` and fsync — runs in a worker
-  thread via :func:`asyncio.to_thread`, which also propagates the
-  ambient telemetry contextvar so ``service.*`` metrics land in the
-  same registry ``/metrics`` serves.
+  thread via :func:`asyncio.to_thread`, which also copies the
+  connection's session (:mod:`repro.context`) so ``service.*``
+  metrics land in the same registry ``/metrics`` serves.
 * **Errors are structured, never swallowed.**  Back-pressure surfaces
   as 429 with a ``Retry-After`` hint and the depth/limit in the body;
   a malformed or DRC-failing netlist upload is a 422 with the gating
@@ -301,13 +301,13 @@ class HttpFrontEnd:
         self.host: str = ""
         self.port: int = 0
         self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: "set[asyncio.StreamWriter]" = set()
+        self._connections: "dict[asyncio.StreamWriter, asyncio.Task[None]]" = {}
         self._started_at = time.time()
 
     # -- lifecycle ------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._server = await asyncio.start_server(
-            self._serve_connection, host=host, port=port
+            self._on_connect, host=host, port=port
         )
         sock = self._server.sockets[0]
         addr = sock.getsockname()
@@ -319,18 +319,35 @@ class HttpFrontEnd:
             # ``Server.close`` stops *listening*; established
             # keep-alive connections would linger past the loop's
             # lifetime (and warn at GC time) unless torn down here.
+            handlers = list(self._connections.values())
             for writer in list(self._connections):
                 writer.close()
             await self._server.wait_closed()
+            if handlers:
+                # Each handler unwinds inside its own task, and so exits
+                # its own session scope, before the loop closes; one
+                # still stuck after the grace period is cancelled.
+                _, stuck = await asyncio.wait(handlers, timeout=5.0)
+                for task in stuck:
+                    task.cancel()
+                await asyncio.gather(*stuck, return_exceptions=True)
             self._server = None
 
     # -- connection loop -------------------------------------------------
+    def _on_connect(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        self._connections[writer] = asyncio.get_running_loop().create_task(
+            self._serve_connection(reader, writer)
+        )
+
     async def _serve_connection(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        self._connections.add(writer)
         with use_telemetry(self.telemetry):
             try:
                 await self._connection_loop(reader, writer)
@@ -341,7 +358,7 @@ class HttpFrontEnd:
             ):
                 pass  # peer vanished mid-request; nothing to answer
             finally:
-                self._connections.discard(writer)
+                self._connections.pop(writer, None)
                 try:
                     writer.close()
                     await writer.wait_closed()

@@ -120,12 +120,16 @@ class TenantFleet:
     Each tenant store gets its own
     :class:`~repro.service.supervisor.ServiceSupervisor` (created when
     the tenant first appears on disk) with *n_workers* subprocess
-    workers; ``n_workers=0`` keeps execution in-process and serial —
-    the supervisor's graceful-degradation path — which is what the
-    tests and the benchmark use.  The background thread round-robins
+    workers; ``n_workers=0`` keeps execution in-process and serial in
+    the fleet thread — the supervisor's graceful-degradation path —
+    which is what most service tests use.  (The ``service_http_tiny``
+    benchmark workload runs 2 subprocess workers with
+    ``inline_fallback=False``.)  The background thread round-robins
     ``tick()`` over every supervisor, so reaping, respawning and
     inline execution all keep happening while the asyncio front-end
-    stays free to serve requests.
+    stays free to serve requests.  *telemetry* is the fleet thread's
+    session facade; an inline shard scopes its own (or none) over the
+    flow, so only fleet bookkeeping lands in it.
     """
 
     def __init__(
@@ -172,15 +176,12 @@ class TenantFleet:
         )
 
     def _run(self) -> None:
-        while not self._stop.is_set():
-            if self.telemetry is not None:
-                with use_telemetry(self.telemetry):
-                    self.tick()
-            else:
+        with use_telemetry(self.telemetry):
+            while not self._stop.is_set():
                 self.tick()
-            # Busy tenants tick again immediately; an idle fleet naps.
-            if not self.pending_work():
-                self._stop.wait(self.poll_s)
+                # Busy tenants tick again immediately; an idle fleet naps.
+                if not self.pending_work():
+                    self._stop.wait(self.poll_s)
 
     def start(self) -> "TenantFleet":
         if self._thread is not None:

@@ -34,7 +34,7 @@ import uuid
 from typing import Any, Dict, Optional, Sequence
 
 from ..errors import LeaseLostError, TransientError
-from ..obs import current_telemetry
+from ..obs import current_telemetry, use_telemetry
 from .jobstore import JobRecord, JobSpec, JobStore, ShardRecord
 from .lease import LeaseHeartbeat
 
@@ -216,7 +216,6 @@ def run_shard_flow(
     *identically* — same design build, same checkpoint store, same
     flow arguments — which is what the bit-identity invariant rests on.
     """
-    from ..context import RunContext
     from ..core.flow import run_noise_tolerant_flow
 
     design, stage_plan = spec.build_design_and_plan()
@@ -225,21 +224,20 @@ def run_shard_flow(
         from ..obs import Telemetry
 
         telemetry = Telemetry(tracing=True, metrics=True)
-    outcome = run_noise_tolerant_flow(
-        design,
-        checkpoint_dir=store.checkpoint_dir(job_id),
-        resume=True,
-        max_patterns=spec.max_patterns,
-        stop_after_stage=None if is_final else shard_index + 1,
-        strict=True,
-        context=(
-            RunContext(telemetry=telemetry)
-            if telemetry is not None
-            else None
-        ),
-        seed=spec.flow_seed,
-        stage_plan=stage_plan,
-    )
+    # The shard records into its own telemetry, or into none: an inline
+    # shard runs in the fleet thread, whose session carries the
+    # server's telemetry.
+    with use_telemetry(telemetry):
+        outcome = run_noise_tolerant_flow(
+            design,
+            checkpoint_dir=store.checkpoint_dir(job_id),
+            resume=True,
+            max_patterns=spec.max_patterns,
+            stop_after_stage=None if is_final else shard_index + 1,
+            strict=True,
+            seed=spec.flow_seed,
+            stage_plan=stage_plan,
+        )
     if telemetry is not None:
         obs_dir = store.obs_dir(job_id)
         os.makedirs(obs_dir, exist_ok=True)

@@ -20,17 +20,17 @@ def _isolated_kernel_cache(tmp_path_factory):
     root = tmp_path_factory.mktemp("kernel-cache")
     old = os.environ.get("REPRO_KERNEL_CACHE_DIR")
     os.environ["REPRO_KERNEL_CACHE_DIR"] = str(root)
-    # Any ambient default cache resolved before this fixture ran would
-    # keep the old root; reset the lazy slot so it re-resolves.
-    from repro.perf import kernel_cache as kc
+    # A process default session resolved before this fixture ran would
+    # keep the old cache root; drop it so it re-resolves.
+    from repro import context
 
-    kc._cache_stack[0] = kc._UNSET
+    context._default = None
     yield
     if old is None:
         os.environ.pop("REPRO_KERNEL_CACHE_DIR", None)
     else:
         os.environ["REPRO_KERNEL_CACHE_DIR"] = old
-    kc._cache_stack[0] = kc._UNSET
+    context._default = None
 
 
 @pytest.fixture

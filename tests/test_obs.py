@@ -15,7 +15,6 @@ import logging
 
 import pytest
 
-from repro import RunContext
 from repro.obs import (
     LOG_LEVELS,
     NULL_TELEMETRY,
@@ -280,10 +279,10 @@ class TestFlowTelemetry:
         from repro.core import run_noise_tolerant_flow
 
         tel = Telemetry(run_id="flowtest")
-        result, report = run_noise_tolerant_flow(
-            tiny_design, max_patterns=12, seed=1,
-            context=RunContext(telemetry=tel),
-        )
+        with use_telemetry(tel):
+            result, report = run_noise_tolerant_flow(
+                tiny_design, max_patterns=12, seed=1,
+            )
         assert report.status == "completed"
         # span tree covers the whole stack and stays well-nested
         names = {e["name"] for e in tel.tracer.events}
@@ -307,10 +306,10 @@ class TestFlowTelemetry:
     def test_null_telemetry_is_bit_identical(self, tiny_design):
         from repro.core import run_noise_tolerant_flow
 
-        with_tel, _ = run_noise_tolerant_flow(
-            tiny_design, max_patterns=12, seed=1,
-            context=RunContext(telemetry=Telemetry(run_id="a")),
-        )
+        with use_telemetry(Telemetry(run_id="a")):
+            with_tel, _ = run_noise_tolerant_flow(
+                tiny_design, max_patterns=12, seed=1,
+            )
         without, _ = run_noise_tolerant_flow(
             tiny_design, max_patterns=12, seed=1,
         )

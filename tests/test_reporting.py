@@ -62,7 +62,6 @@ class TestRunReportRoundTrip:
             "stage1", "completed", from_checkpoint=True,
             detail={"patterns": 7},
         )
-        report.retries = {"stage0": 2}
         report.failures = [{"stage": "stage0", "kind": "crash", "chunk": 3}]
         report.drc = {"status": "clean", "violations": 0}
         report.telemetry = {
@@ -82,7 +81,6 @@ class TestRunReportRoundTrip:
         assert loaded.to_dict() == report.to_dict()
         assert loaded.completed_stages() == ["stage0", "stage1"]
         assert loaded.resumed_stages() == ["stage1"]
-        assert loaded.total_retries == 2
         assert loaded.telemetry["run_id"] == "rt1"
 
     def test_from_dict_recomputes_derived_and_skips_unknown(self):
@@ -94,6 +92,19 @@ class TestRunReportRoundTrip:
         loaded = RunReport.from_dict(data)
         assert loaded.completed_stages() == ["stage0", "stage1"]
         assert not hasattr(loaded, "future_key")
+
+    def test_from_dict_loads_reports_with_retired_retries_keys(self):
+        from repro.reporting import RunReport
+
+        report = self._build()
+        data = report.to_dict()
+        assert "retries" not in data and "total_retries" not in data
+        # Reports written while RunReport carried a retries map.
+        data["retries"] = {"stage0": 2}
+        data["total_retries"] = 2
+        loaded = RunReport.from_dict(data)
+        assert loaded.to_dict() == report.to_dict()
+        assert not hasattr(loaded, "retries")
 
     def test_stage_times_rows(self):
         rows = self._build().stage_times()

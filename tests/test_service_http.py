@@ -306,6 +306,55 @@ class TestMetrics:
         # service-layer metrics land in the same registry
         assert "repro_service_jobs_submitted_total" in text
 
+    def test_untraced_inline_jobs_leave_no_flow_series(self, tmp_path):
+        """Inline jobs submitted with ``telemetry=False`` record nothing
+        into the server's telemetry, even while a second client keeps
+        the front-end's event loop busy: each thread has its own
+        session, so the fleet thread's flow never sees the front-end's
+        scope."""
+        tenants = TenantManager(str(tmp_path / "data"))
+        fleet = TenantFleet(tenants, n_workers=0)
+        stop = threading.Event()
+        with HttpServerThread(tenants, fleet=fleet) as srv:
+
+            def poll_healthz() -> None:
+                poller = HttpServiceClient(srv.base_url, tenant="poll")
+                while not stop.is_set():
+                    poller.healthz()
+
+            poller = threading.Thread(target=poll_healthz, daemon=True)
+            poller.start()
+            client = HttpServiceClient(srv.base_url, tenant="quiet")
+            try:
+                job_ids = [
+                    client.submit(scale="tiny", seed=2007, max_patterns=12,
+                                  flow_seed=flow_seed, telemetry=False)
+                    for flow_seed in (1, 2)
+                ]
+                for job_id in job_ids:
+                    job = client.wait(job_id, timeout_s=300)
+                    assert job.state == JOB_DONE
+            finally:
+                stop.set()
+                poller.join(timeout=30)
+            text = client.metrics()
+        samples = [
+            line for line in text.splitlines()
+            if line and not line.startswith("#")
+        ]
+        leaked = sorted({
+            line.split("{", 1)[0].split(" ", 1)[0]
+            for line in samples
+            if line.startswith(("repro_atpg_", "repro_fsim_", "repro_flow_"))
+        })
+        assert leaked == []
+        submitted = sum(
+            float(line.rsplit(" ", 1)[1])
+            for line in samples
+            if line.startswith("repro_service_jobs_submitted_total")
+        )
+        assert submitted == len(job_ids)
+
 
 # ----------------------------------------------------------------------
 # end to end: execution, events, bit-identity (inline fleet)
